@@ -2,9 +2,9 @@
 # serving code. `make ci` is what every PR must keep green.
 GO ?= go
 
-.PHONY: ci vet lint lint-fast build test race fuzz-smoke metricsz-smoke ws-smoke bench-smoke bench-baseline batch-smoke stress bench soak-smoke soak
+.PHONY: ci vet lint lint-fast build test race fuzz-smoke metricsz-smoke ws-smoke bench-smoke bench-baseline bench-selftest stress bench soak-smoke soak
 
-ci: vet lint build test race fuzz-smoke metricsz-smoke ws-smoke bench-smoke batch-smoke soak-smoke
+ci: vet lint build test race fuzz-smoke metricsz-smoke ws-smoke bench-smoke bench-selftest soak-smoke
 
 vet:
 	$(GO) vet ./...
@@ -56,12 +56,13 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzFrameRead -fuzztime 5s ./internal/ws
 	$(GO) test -run '^$$' -fuzz FuzzBandTransform -fuzztime 5s ./internal/dsp
 
-# The spectral-engine benchmarks the serving path depends on, checked
-# against the committed baseline (BENCH_baseline.json): >20% ns/op
-# regression or any allocs/op change fails the build. Three short counts
-# per benchmark; ewbenchgate gates on the per-benchmark minimum so shared
-# -machine noise cannot fail a healthy build.
-BENCH_SMOKE = { $(GO) test -run '^$$' -bench 'BenchmarkSTFTCompute|BenchmarkSTFTBatch' -benchmem -benchtime 0.3s -count 3 ./internal/dsp && \
+# The serving-path benchmarks — the band STFT and one end-to-end
+# streaming session — checked against the committed baseline
+# (BENCH_baseline.json): >20% ns/op regression, or an allocs/op count
+# outside its baselined band, fails the build. Three short counts per
+# benchmark; ewbenchgate gates on the per-benchmark minimum so
+# shared-machine noise cannot fail a healthy build.
+BENCH_SMOKE = { $(GO) test -run '^$$' -bench 'BenchmarkSTFTCompute/band$$' -benchmem -benchtime 0.3s -count 3 ./internal/dsp && \
 	$(GO) test -run '^$$' -bench 'BenchmarkStreamFeed1024$$' -benchmem -benchtime 0.3s -count 3 .; }
 
 bench-smoke:
@@ -72,15 +73,12 @@ bench-smoke:
 bench-baseline:
 	$(BENCH_SMOKE) | $(GO) run ./cmd/ewbenchgate -update
 
-# End-to-end smoke of the batch-collector ingest path: the smoke
-# scenario matrix replayed with the per-shard STFT batch collectors
-# enabled, both ingest phases held to the same /metricsz bands as
-# soak-smoke. Detections must match the per-worker path bit for bit
-# (the stress equivalence test pins that); this target proves the
-# batched service also holds the health bands under real recorded
-# traffic.
-batch-smoke:
-	$(GO) run ./cmd/ewload -scenario smoke -soak 2s -writers 4 -stft-batch 16
+# The serving benchmark (perfbench/) is its own module, so the root
+# `go test ./...` never builds it; compile and self-test it here so a
+# program API change that breaks the benchmark fails CI, not the
+# benchmark run.
+bench-selftest:
+	cd perfbench && $(GO) test .
 
 # The long-running adversarial soak: the stress suite with its goroutine
 # and iteration counts multiplied (see internal/serve/stress).

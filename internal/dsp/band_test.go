@@ -7,19 +7,44 @@ import (
 	"testing"
 )
 
-// referenceColumns computes a spectrogram under the full-FFT reference
-// engine — the ground truth of the differential harness.
+// referenceColumns computes a spectrogram the paper's naive way — window
+// each frame with Window.Apply, run the full N-point complex FFTPlan, and
+// crop the band with Magnitudes — the ground truth of the differential
+// harness. cfg.Window must be set; a zero band means the full half
+// [0, N/2), as in NewSTFT.
 func referenceColumns(t testing.TB, cfg STFTConfig, signal []float64) *Spectrogram {
 	t.Helper()
-	ref := cfg
-	ref.Engine = EngineFFT
-	st, err := NewSTFT(ref)
+	n := cfg.FFTSize
+	low, high := cfg.LowBin, cfg.HighBin
+	if low == 0 && high == 0 {
+		high = n / 2
+	}
+	win, err := NewWindow(cfg.Window, n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec, err := st.Compute(signal)
+	plan, err := NewFFTPlan(n)
 	if err != nil {
 		t.Fatal(err)
+	}
+	spec := &Spectrogram{
+		Data:       make([][]float64, (len(signal)-n)/cfg.HopSize+1),
+		SampleRate: cfg.SampleRate,
+		FFTSize:    n,
+		HopSize:    cfg.HopSize,
+		BinLow:     low,
+	}
+	framed := make([]float64, n)
+	for f := range spec.Data {
+		start := f * cfg.HopSize
+		if _, err := win.Apply(signal[start:start+n], framed); err != nil {
+			t.Fatal(err)
+		}
+		full, err := plan.ForwardReal(framed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec.Data[f] = Magnitudes(full[low:high], nil)
 	}
 	return spec
 }
@@ -37,7 +62,7 @@ func randomSignal(seed int64, n int) []float64 {
 // TestBandEngineMatchesReference is the differential equivalence suite:
 // randomized signals × all window kinds × band edges (degenerate 1-bin
 // bands, DC and Nyquist edges, the full half-spectrum, the paper's
-// default band), asserting every band-engine column matches the full-FFT
+// default band), asserting every STFT column matches the full-FFT
 // reference per bin within the 1e-9 harness tolerance.
 func TestBandEngineMatchesReference(t *testing.T) {
 	type bandCase struct {
@@ -54,7 +79,6 @@ func TestBandEngineMatchesReference(t *testing.T) {
 		{"full-half-spectrum", func(n int) int { return 0 }, func(n int) int { return n / 2 }},
 	}
 	windows := []WindowKind{WindowHanning, WindowHamming, WindowRectangular, WindowBlackman}
-	engines := []EngineKind{EngineAuto, EngineRFFT, EngineGoertzel}
 	sizes := []int{64, 1024}
 	for _, n := range sizes {
 		for _, bc := range bands {
@@ -70,20 +94,16 @@ func TestBandEngineMatchesReference(t *testing.T) {
 				for seed := int64(1); seed <= 3; seed++ {
 					sig := randomSignal(seed*int64(n), 3*n)
 					want := referenceColumns(t, cfg, sig)
-					for _, eng := range engines {
-						c := cfg
-						c.Engine = eng
-						st, err := NewSTFT(c)
-						if err != nil {
-							t.Fatalf("n=%d band=%s win=%v engine=%v: %v", n, bc.name, win, eng, err)
-						}
-						got, err := st.Compute(sig)
-						if err != nil {
-							t.Fatalf("n=%d band=%s win=%v engine=%v: %v", n, bc.name, win, eng, err)
-						}
-						assertSpectrogramsClose(t, got, want,
-							"n=%d band=%s win=%v engine=%v seed=%d", n, bc.name, win, eng, seed)
+					st, err := NewSTFT(cfg)
+					if err != nil {
+						t.Fatalf("n=%d band=%s win=%v: %v", n, bc.name, win, err)
 					}
+					got, err := st.Compute(sig)
+					if err != nil {
+						t.Fatalf("n=%d band=%s win=%v: %v", n, bc.name, win, err)
+					}
+					assertSpectrogramsClose(t, got, want,
+						"n=%d band=%s win=%v seed=%d", n, bc.name, win, seed)
 				}
 			}
 		}
@@ -100,19 +120,15 @@ func TestBandEngineMatchesReferencePaperConfig(t *testing.T) {
 		sig[i] += 5 * math.Sin(2*math.Pi*20000*float64(i)/cfg.SampleRate)
 	}
 	want := referenceColumns(t, cfg, sig)
-	for _, eng := range []EngineKind{EngineAuto, EngineRFFT, EngineGoertzel} {
-		c := cfg
-		c.Engine = eng
-		st, err := NewSTFT(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := st.Compute(sig)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertSpectrogramsClose(t, got, want, "engine=%v", eng)
+	st, err := NewSTFT(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
+	got, err := st.Compute(sig)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSpectrogramsClose(t, got, want, "paper config")
 }
 
 func assertSpectrogramsClose(t *testing.T, got, want *Spectrogram, format string, args ...any) {
@@ -137,105 +153,4 @@ func fmtArgs(format string, args []any) string {
 		return format
 	}
 	return fmt.Sprintf(format, args...)
-}
-
-// TestEngineAutoSelection pins the cost-based choice: wide bands go to
-// the rfft path, narrow bands to the Goertzel bank.
-func TestEngineAutoSelection(t *testing.T) {
-	cfg := DefaultSTFTConfig() // 351 bins: far past the Goertzel crossover
-	st, err := NewSTFT(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.EngineKind() != EngineRFFT {
-		t.Errorf("default band auto-selected %v, want rfft", st.EngineKind())
-	}
-	narrow := cfg
-	narrow.HighBin = narrow.LowBin + 8
-	st, err = NewSTFT(narrow)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.EngineKind() != EngineGoertzel {
-		t.Errorf("8-bin band auto-selected %v, want goertzel", st.EngineKind())
-	}
-	forced := cfg
-	forced.Engine = EngineFFT
-	st, err = NewSTFT(forced)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.EngineKind() != EngineFFT {
-		t.Errorf("forced reference engine reports %v", st.EngineKind())
-	}
-}
-
-func TestBandTransformValidation(t *testing.T) {
-	if _, err := NewBandTransform(100, 0, 10, EngineAuto); err == nil {
-		t.Error("non-power-of-two size accepted")
-	}
-	if _, err := NewBandTransform(64, -1, 10, EngineAuto); err == nil {
-		t.Error("negative low bin accepted")
-	}
-	if _, err := NewBandTransform(64, 0, 33, EngineAuto); err == nil {
-		t.Error("band past Nyquist accepted")
-	}
-	if _, err := NewBandTransform(64, 5, 5, EngineAuto); err == nil {
-		t.Error("empty band accepted")
-	}
-	if _, err := NewBandTransform(64, 0, 10, EngineFFT); err == nil {
-		t.Error("EngineFFT accepted as a band engine")
-	}
-	bt, err := NewBandTransform(64, 3, 11, EngineGoertzel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bt.Size() != 64 {
-		t.Errorf("Size() = %d", bt.Size())
-	}
-	if lo, hi := bt.Band(); lo != 3 || hi != 11 {
-		t.Errorf("Band() = [%d,%d)", lo, hi)
-	}
-	if err := bt.Magnitudes(make([]float64, 32), make([]float64, 8)); err == nil {
-		t.Error("short frame accepted")
-	}
-	if err := bt.Magnitudes(make([]float64, 64), make([]float64, 4)); err == nil {
-		t.Error("short dst accepted")
-	}
-	rb, err := NewBandTransform(64, 3, 11, EngineRFFT)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rb.Magnitudes(make([]float64, 64), make([]float64, 4)); err == nil {
-		t.Error("rfft band: short dst accepted")
-	}
-	if err := rb.Magnitudes(make([]float64, 12), make([]float64, 8)); err == nil {
-		t.Error("rfft band: short frame accepted")
-	}
-}
-
-func TestEngineKindString(t *testing.T) {
-	for kind, want := range map[EngineKind]string{
-		EngineAuto:     "auto",
-		EngineFFT:      "fft",
-		EngineRFFT:     "rfft",
-		EngineGoertzel: "goertzel",
-		EngineKind(99): "EngineKind(99)",
-	} {
-		if got := kind.String(); got != want {
-			t.Errorf("String(%d) = %q, want %q", int(kind), got, want)
-		}
-	}
-}
-
-// TestSTFTEngineValidation rejects unknown engine values at config time.
-func TestSTFTEngineValidation(t *testing.T) {
-	cfg := DefaultSTFTConfig()
-	cfg.Engine = EngineKind(7)
-	if err := cfg.Validate(); err == nil {
-		t.Error("unknown engine accepted")
-	}
-	if _, err := NewSTFT(cfg); err == nil {
-		t.Error("NewSTFT accepted unknown engine")
-	}
 }

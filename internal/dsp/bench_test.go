@@ -17,34 +17,21 @@ func benchSignal(n int) []float64 {
 }
 
 // BenchmarkSTFTCompute measures the full spectrogram computation for the
-// paper's default 8192/1024/350-bin configuration under each engine. The
-// band engine is the serving default; the full-FFT engine is the
-// differential reference the band path is validated against.
+// paper's default 8192/1024/351-bin configuration — the serving path's
+// per-column work, two seconds of audio per op.
 func BenchmarkSTFTCompute(b *testing.B) {
 	sig := benchSignal(2 * 44100)
-	for _, eng := range []struct {
-		name string
-		kind EngineKind
-	}{
-		{"band", EngineAuto},
-		{"rfft", EngineRFFT},
-		{"goertzel", EngineGoertzel},
-		{"fullfft", EngineFFT},
-	} {
-		b.Run(eng.name, func(b *testing.B) {
-			cfg := DefaultSTFTConfig()
-			cfg.Engine = eng.kind
-			st, err := NewSTFT(cfg)
-			if err != nil {
+	b.Run("band", func(b *testing.B) {
+		st, err := NewSTFT(DefaultSTFTConfig())
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := st.Compute(sig); err != nil {
 				b.Fatal(err)
 			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := st.Compute(sig); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
+		}
+	})
 }

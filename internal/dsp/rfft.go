@@ -60,28 +60,16 @@ func NewRFFTPlan(n int) (*RFFTPlan, error) {
 	}
 	m := n / 2
 	p := &RFFTPlan{
-		n: n,
-		m: m,
-		z: make([]complex128, m),
+		n:    n,
+		m:    m,
+		post: make([]complex128, m),
+		rev:  make([]int, m),
+		z:    make([]complex128, m),
+		vec:  hasAVX,
 	}
-	p.post, p.rev, p.stages = newRFFTTables(n)
-	p.vec = hasAVX
-	return p, nil
-}
-
-// newRFFTTables builds the read-only tables of a real-input plan of
-// size n (a validated power of two >= 2): the unpacking post-twiddles,
-// the digit-reversed output permutation of the DIF recursion, and the
-// per-stage sequential twiddle tables. Shared by RFFTPlan and
-// BatchPlan so both transforms run the identical factorization against
-// bit-identical factors.
-func newRFFTTables(n int) (post []complex128, rev []int, stages []stageTwiddles) {
-	m := n / 2
-	post = make([]complex128, m)
-	rev = make([]int, m)
 	for k := 0; k < m; k++ {
 		angle := -2 * math.Pi * float64(k) / float64(n)
-		post[k] = complex(math.Cos(angle), math.Sin(angle))
+		p.post[k] = complex(math.Cos(angle), math.Sin(angle))
 	}
 	// Radix sequence: radix-4 stages down to span 4, with a final radix-2
 	// stage when log2(m) is odd. Record it to derive the digit-reversed
@@ -103,15 +91,15 @@ func newRFFTTables(n int) (post []complex128, rev []int, stages []stageTwiddles)
 			pos += (rem % r) * span
 			rem /= r
 		}
-		rev[k] = pos
+		p.rev[k] = pos
 	}
 	for span := m; span >= 4; span /= 4 {
 		if span%4 != 0 {
 			break
 		}
-		stages = append(stages, newStageTwiddles(span))
+		p.stages = append(p.stages, newStageTwiddles(span))
 	}
-	return post, rev, stages
+	return p, nil
 }
 
 // newStageTwiddles precomputes the sequential twiddle table for a
@@ -156,68 +144,27 @@ func newStageTwiddlesVec(w []float64, span int) []float64 {
 	return wv
 }
 
-// newStageTwiddlesQuad re-lays a stage's scalar twiddle table for the
-// AVX-512 kernel: per butterfly quad (i .. i+3) and twiddle power p in
-// 1..3, the real parts duplicated across each complex lane followed by
-// the imaginary parts likewise,
-//
-//	[cp_i cp_i cp_{i+1} cp_{i+1} cp_{i+2} cp_{i+2} cp_{i+3} cp_{i+3}]
-//	[dp_i dp_i dp_{i+1} dp_{i+1} dp_{i+2} dp_{i+2} dp_{i+3} dp_{i+3}]
-//
-// 48 floats (384 bytes) per quad, matching the fixed offsets the kernel
-// reads. Values are copied from the scalar table, so all kernels
-// multiply by bit-identical factors. Returns nil when the butterfly
-// count is not a multiple of four, which the kernel cannot group. Only
-// BatchPlan builds these tables; per-frame plans stay at the pair
-// layout so pooled sessions carry no unused state.
-func newStageTwiddlesQuad(w []float64, span int) []float64 {
-	q := span / 4
-	if q%4 != 0 {
-		return nil
-	}
-	zv := make([]float64, 0, 48*(q/4))
-	for i := 0; i < q; i += 4 {
-		for p := 0; p < 3; p++ {
-			for lane := 0; lane < 4; lane++ {
-				c := w[6*(i+lane)+2*p]
-				zv = append(zv, c, c)
-			}
-			for lane := 0; lane < 4; lane++ {
-				d := w[6*(i+lane)+2*p+1]
-				zv = append(zv, d, d)
-			}
-		}
-	}
-	return zv
-}
-
 // Size reports the real frame length the plan was built for.
 func (p *RFFTPlan) Size() int { return p.n }
 
 // transformHalf packs frame into the scratch plane — fusing the analysis
-// window multiply into the pack pass when win is non-nil, which saves a
-// full read-modify-write sweep over the frame — and runs the N/2
-// transform in place, leaving the packed spectrum Z in digit-reversed
-// order. Callers then unpack the bins they need with unpackBin. win must
-// be nil or of frame length.
+// window multiply into the pack pass, which saves a full
+// read-modify-write sweep over the frame — and runs the N/2 transform in
+// place, leaving the packed spectrum Z in digit-reversed order. Callers
+// then unpack the bins they need with unpackBin. win must have frame
+// length.
 //
 // ew:hotpath — runs once per STFT column on the serving path.
 func (p *RFFTPlan) transformHalf(frame, win []float64) error {
 	if len(frame) != p.n {
 		return fmt.Errorf("dsp: RFFT frame length %d does not match plan size %d", len(frame), p.n)
 	}
+	if len(win) != p.n {
+		return fmt.Errorf("dsp: window length %d does not match plan size %d", len(win), p.n)
+	}
 	z := p.z
-	if win == nil {
-		for i := range z {
-			z[i] = complex(frame[2*i], frame[2*i+1])
-		}
-	} else {
-		if len(win) != p.n {
-			return fmt.Errorf("dsp: window length %d does not match plan size %d", len(win), p.n)
-		}
-		for i := range z {
-			z[i] = complex(frame[2*i]*win[2*i], frame[2*i+1]*win[2*i+1])
-		}
+	for i := range z {
+		z[i] = complex(frame[2*i]*win[2*i], frame[2*i+1]*win[2*i+1])
 	}
 	p.forwardDIF(z)
 	return nil
@@ -225,9 +172,6 @@ func (p *RFFTPlan) transformHalf(frame, win []float64) error {
 
 // forwardDIF runs the radix-4 (plus optional final radix-2) DIF passes
 // over the packed plane. Output is in digit-reversed order per p.rev.
-// The four quarters of each block are re-sliced to equal lengths so the
-// compiler can prove every access in bounds and drop the checks from the
-// inner loop.
 //
 // ew:hotpath — the butterfly network is the dominant per-column cost.
 func (p *RFFTPlan) forwardDIF(z []complex128) {
@@ -249,13 +193,11 @@ func (p *RFFTPlan) forwardDIF(z []complex128) {
 	}
 }
 
-// difStageScalar runs one radix-4 DIF stage over z (a whole plane or an
-// aligned tile whose length is a multiple of the span) with the plain
-// scalar loops — the reference the vector kernels are pinned against,
-// and the fallback tier shared by RFFTPlan and BatchPlan. The four
-// quarters of each block are re-sliced to equal lengths so the compiler
-// can prove every access in bounds and drop the checks from the inner
-// loop.
+// difStageScalar runs one radix-4 DIF stage over the plane z with the
+// plain scalar loops — the reference the AVX kernel is pinned against,
+// and its fallback. The four quarters of each block are re-sliced to
+// equal lengths so the compiler can prove every access in bounds and
+// drop the checks from the inner loop.
 //
 // ew:hotpath — the butterfly network is the dominant per-column cost.
 func difStageScalar(z []complex128, st stageTwiddles) {
@@ -319,7 +261,7 @@ func trailingRadix2(m int) bool {
 // with M = n/2 and Z[M] identified with Z[0]. Z is read through the
 // digit-reversal table, so no reordering pass ever runs.
 //
-// ew:hotpath — the band engines call this once per retained bin per column.
+// ew:hotpath — the STFT calls this once per retained bin per column.
 func (p *RFFTPlan) unpackBin(k int) complex128 {
 	m := p.m
 	zk := p.z[p.rev[k]]
@@ -332,21 +274,4 @@ func (p *RFFTPlan) unpackBin(k int) complex128 {
 	w := p.post[k]
 	wr, wi := real(w), imag(w)
 	return complex(er+wr*or-wi*oi, ei+wr*oi+wi*or)
-}
-
-// Transform computes the non-negative half-spectrum X[0 .. n/2) of the
-// real frame into dst, which must have length n/2. The values equal the
-// first n/2 bins of FFTPlan.Forward on the zero-imaginary embedding of
-// the frame, up to rounding.
-func (p *RFFTPlan) Transform(frame []float64, dst []complex128) error {
-	if len(dst) != p.m {
-		return fmt.Errorf("dsp: RFFT dst length %d does not match half-spectrum size %d", len(dst), p.m)
-	}
-	if err := p.transformHalf(frame, nil); err != nil {
-		return err
-	}
-	for k := range dst {
-		dst[k] = p.unpackBin(k)
-	}
-	return nil
 }

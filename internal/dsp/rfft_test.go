@@ -24,6 +24,25 @@ func refHalfSpectrum(t testing.TB, frame []float64) []complex128 {
 	return buf[:len(frame)/2]
 }
 
+// halfSpectrum runs frame through plan under a rectangular window (a
+// multiply by exactly 1, so the frame enters the transform unchanged)
+// and unpacks every bin of the non-negative half-spectrum.
+func halfSpectrum(t testing.TB, plan *RFFTPlan, frame []float64) []complex128 {
+	t.Helper()
+	ones := make([]float64, len(frame))
+	for i := range ones {
+		ones[i] = 1
+	}
+	if err := plan.transformHalf(frame, ones); err != nil {
+		t.Fatal(err)
+	}
+	out := make([]complex128, plan.Size()/2)
+	for k := range out {
+		out[k] = plan.unpackBin(k)
+	}
+	return out
+}
+
 // diffTol is the differential-harness bound: per-bin agreement to 1e-9
 // relative (plus 1e-9 absolute floor for near-zero bins).
 const diffTol = 1e-9
@@ -48,10 +67,7 @@ func TestRFFTMatchesFullFFT(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := make([]complex128, n/2)
-		if err := plan.Transform(frame, got); err != nil {
-			t.Fatal(err)
-		}
+		got := halfSpectrum(t, plan, frame)
 		want := refHalfSpectrum(t, frame)
 		for k := range want {
 			if !withinTol(real(got[k]), real(want[k])) || !withinTol(imag(got[k]), imag(want[k])) {
@@ -67,16 +83,12 @@ func TestRFFTKnownSpectra(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dst := make([]complex128, n/2)
-
 	// Constant input: all energy in DC.
 	frame := make([]float64, n)
 	for i := range frame {
 		frame[i] = 1
 	}
-	if err := plan.Transform(frame, dst); err != nil {
-		t.Fatal(err)
-	}
+	dst := halfSpectrum(t, plan, frame)
 	if !withinTol(real(dst[0]), float64(n)) || !withinTol(imag(dst[0]), 0) {
 		t.Errorf("DC bin = %v, want %d", dst[0], n)
 	}
@@ -90,9 +102,7 @@ func TestRFFTKnownSpectra(t *testing.T) {
 	for i := range frame {
 		frame[i] = math.Cos(2 * math.Pi * 5 * float64(i) / n)
 	}
-	if err := plan.Transform(frame, dst); err != nil {
-		t.Fatal(err)
-	}
+	dst = halfSpectrum(t, plan, frame)
 	if !withinTol(real(dst[5]), float64(n)/2) || !withinTol(imag(dst[5]), 0) {
 		t.Errorf("tone bin = %v, want %g", dst[5], float64(n)/2)
 	}
@@ -115,11 +125,11 @@ func TestRFFTValidation(t *testing.T) {
 	if plan.Size() != 16 {
 		t.Errorf("Size() = %d, want 16", plan.Size())
 	}
-	if err := plan.Transform(make([]float64, 8), make([]complex128, 8)); err == nil {
+	if err := plan.transformHalf(make([]float64, 8), make([]float64, 16)); err == nil {
 		t.Error("short frame accepted")
 	}
-	if err := plan.Transform(make([]float64, 16), make([]complex128, 4)); err == nil {
-		t.Error("short dst accepted")
+	if err := plan.transformHalf(make([]float64, 16), make([]float64, 8)); err == nil {
+		t.Error("short window accepted")
 	}
 }
 
@@ -149,41 +159,31 @@ func TestRFFTVectorKernelMatchesScalar(t *testing.T) {
 		for i := range frame {
 			frame[i] = 2*rng.Float64() - 1
 		}
-		gotSpec := make([]complex128, n/2)
-		wantSpec := make([]complex128, n/2)
-		if err := vec.Transform(frame, gotSpec); err != nil {
-			t.Fatal(err)
-		}
-		if err := scalar.Transform(frame, wantSpec); err != nil {
-			t.Fatal(err)
-		}
+		gotSpec := halfSpectrum(t, vec, frame)
+		wantSpec := halfSpectrum(t, scalar, frame)
 		for k := range wantSpec {
 			if !withinTol(real(gotSpec[k]), real(wantSpec[k])) || !withinTol(imag(gotSpec[k]), imag(wantSpec[k])) {
 				t.Fatalf("n=%d bin %d: vector %v, scalar %v", n, k, gotSpec[k], wantSpec[k])
 			}
 		}
-		low, high := n/4, n/2
-		vb, err := NewBandTransform(n, low, high, EngineRFFT)
+		// Windowed band magnitudes, computed exactly as STFT columns are.
+		win, err := NewWindow(WindowHanning, n)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sb, err := NewBandTransform(n, low, high, EngineRFFT)
-		if err != nil {
+		if err := vec.transformHalf(frame, win.coeffs); err != nil {
 			t.Fatal(err)
 		}
-		sb.(*rfftBand).plan.vec = false
-		got := make([]float64, high-low)
-		want := make([]float64, high-low)
-		if err := vb.Magnitudes(frame, got); err != nil {
+		if err := scalar.transformHalf(frame, win.coeffs); err != nil {
 			t.Fatal(err)
 		}
-		if err := sb.Magnitudes(frame, want); err != nil {
-			t.Fatal(err)
-		}
-		for i := range want {
-			if got[i] != want[i] {
+		for k := n / 4; k < n/2; k++ {
+			g, w := vec.unpackBin(k), scalar.unpackBin(k)
+			got := math.Sqrt(real(g)*real(g) + imag(g)*imag(g))
+			want := math.Sqrt(real(w)*real(w) + imag(w)*imag(w))
+			if got != want {
 				t.Fatalf("n=%d bin %d: vector magnitude %.17g, scalar %.17g (must be bit-identical)",
-					n, low+i, got[i], want[i])
+					n, k, got, want)
 			}
 		}
 	}

@@ -1,6 +1,9 @@
 package dsp
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // STFTConfig parameterizes a short-time Fourier transform. The paper's
 // settings are FFTSize=8192 (~0.186 s at 44.1 kHz) and HopSize=1024
@@ -19,12 +22,6 @@ type STFTConfig struct {
 	// FFT bins [LowBin, HighBin). When both are zero the full non-negative
 	// half [0, FFTSize/2) is kept.
 	LowBin, HighBin int
-	// Engine selects how columns are computed. The zero value EngineAuto
-	// picks the cheapest band-limited engine for the configured band;
-	// EngineFFT is the full-FFT reference the fast paths are
-	// differentially tested against. All engines produce identical
-	// Spectrogram output within the differential harness tolerance.
-	Engine EngineKind
 }
 
 // DefaultSTFTConfig returns the paper's STFT parameters for a 44.1 kHz
@@ -57,35 +54,23 @@ func (c STFTConfig) Validate() error {
 	if c.LowBin < 0 || c.HighBin > c.FFTSize/2 || (c.HighBin != 0 && c.LowBin >= c.HighBin) {
 		return fmt.Errorf("dsp: bin band [%d,%d) invalid for FFT size %d", c.LowBin, c.HighBin, c.FFTSize)
 	}
-	switch c.Engine {
-	case EngineAuto, EngineFFT, EngineRFFT, EngineGoertzel:
-	default:
-		return fmt.Errorf("dsp: unknown spectral engine %d", int(c.Engine))
-	}
 	return nil
 }
 
-// STFT converts fixed-size signal frames into spectrogram columns. It owns
-// a spectral engine, a window, and scratch buffers, so one instance should
-// be reused across frames of a stream. An STFT is not safe for concurrent
-// use.
+// STFT converts fixed-size signal frames into spectrogram columns. Each
+// column runs the real-input half-size transform with the analysis
+// window fused into its pack pass, then unpacks and takes magnitudes of
+// the retained band only, so the per-column cost beyond the butterflies
+// is O(B) for a B-bin band. It owns the plan, the window and their
+// scratch, so one instance should be reused across frames of a stream.
+// An STFT is not safe for concurrent use.
 type STFT struct {
 	cfg    STFTConfig
 	window *Window
-	framed []float64
-	// Exactly one engine is populated, per cfg.Engine:
-	band    BandTransform // EngineAuto / EngineGoertzel (band-limited path)
-	rfft    *RFFTPlan     // EngineRFFT (full half-spectrum, then crop)
-	half    []complex128  // EngineRFFT half-spectrum scratch
-	plan    *FFTPlan      // EngineFFT (full complex reference)
-	scratch []complex128  // EngineFFT scratch
-	// bandWin is band when it supports fusing the window multiply into its
-	// first pass over the frame (resolved once at construction so the hot
-	// path never type-asserts).
-	bandWin windowedBandTransform
+	plan   *RFFTPlan
 }
 
-// NewSTFT validates cfg and precomputes the engine plan and window.
+// NewSTFT validates cfg and precomputes the transform plan and window.
 func NewSTFT(cfg STFTConfig) (*STFT, error) {
 	if cfg.Window == 0 {
 		cfg.Window = WindowHanning
@@ -100,52 +85,16 @@ func NewSTFT(cfg STFTConfig) (*STFT, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &STFT{
-		cfg:    cfg,
-		window: win,
-		framed: make([]float64, cfg.FFTSize),
+	plan, err := NewRFFTPlan(cfg.FFTSize)
+	if err != nil {
+		return nil, err
 	}
-	switch cfg.Engine {
-	case EngineFFT:
-		plan, err := NewFFTPlan(cfg.FFTSize)
-		if err != nil {
-			return nil, err
-		}
-		s.plan = plan
-		s.scratch = make([]complex128, cfg.FFTSize)
-	case EngineRFFT:
-		plan, err := NewRFFTPlan(cfg.FFTSize)
-		if err != nil {
-			return nil, err
-		}
-		s.rfft = plan
-		s.half = make([]complex128, cfg.FFTSize/2)
-	default: // EngineAuto, EngineGoertzel
-		band, err := NewBandTransform(cfg.FFTSize, cfg.LowBin, cfg.HighBin, cfg.Engine)
-		if err != nil {
-			return nil, err
-		}
-		s.band = band
-		s.bandWin, _ = band.(windowedBandTransform)
-	}
-	return s, nil
+	return &STFT{cfg: cfg, window: win, plan: plan}, nil
 }
 
 // Config returns the configuration the STFT was built with (after
 // defaulting).
 func (s *STFT) Config() STFTConfig { return s.cfg }
-
-// EngineKind reports the concrete engine computing columns, with
-// EngineAuto resolved to the implementation it selected.
-func (s *STFT) EngineKind() EngineKind {
-	if s.band != nil {
-		return s.band.Kind()
-	}
-	if s.rfft != nil {
-		return EngineRFFT
-	}
-	return EngineFFT
-}
 
 // Bins reports the retained band width, the length of every column.
 func (s *STFT) Bins() int { return s.cfg.HighBin - s.cfg.LowBin }
@@ -180,34 +129,13 @@ func (s *STFT) FrameColumnInto(dst []float64, frame []float64) ([]float64, error
 	} else {
 		dst = dst[: n+w : cap(dst)]
 	}
-	out := dst[n : n+w]
-	if s.bandWin != nil {
-		// Fused path: the engine applies the window inside its first pass
-		// over the frame, skipping the separate Window.Apply sweep.
-		if err := s.bandWin.WindowedMagnitudes(frame, s.window.coeffs, out); err != nil {
-			return nil, err
-		}
-		return dst, nil
-	}
-	if _, err := s.window.Apply(frame, s.framed); err != nil {
+	if err := s.plan.transformHalf(frame, s.window.coeffs); err != nil {
 		return nil, err
 	}
-	switch {
-	case s.band != nil:
-		if err := s.band.Magnitudes(s.framed, out); err != nil {
-			return nil, err
-		}
-	case s.rfft != nil:
-		if err := s.rfft.Transform(s.framed, s.half); err != nil {
-			return nil, err
-		}
-		Magnitudes(s.half[s.cfg.LowBin:s.cfg.HighBin], out)
-	default:
-		for i, v := range s.framed {
-			s.scratch[i] = complex(v, 0)
-		}
-		s.plan.transform(s.scratch, false)
-		Magnitudes(s.scratch[s.cfg.LowBin:s.cfg.HighBin], out)
+	out := dst[n : n+w]
+	for i := range out {
+		x := s.plan.unpackBin(s.cfg.LowBin + i)
+		out[i] = math.Sqrt(real(x)*real(x) + imag(x)*imag(x))
 	}
 	return dst, nil
 }

@@ -42,6 +42,7 @@ func TestSTFTConfigValidation(t *testing.T) {
 		{"negative low bin", func(c *STFTConfig) { c.LowBin = -1 }},
 		{"band beyond Nyquist", func(c *STFTConfig) { c.HighBin = c.FFTSize }},
 		{"inverted band", func(c *STFTConfig) { c.LowBin, c.HighBin = 100, 50 }},
+		{"empty band", func(c *STFTConfig) { c.LowBin, c.HighBin = 100, 100 }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

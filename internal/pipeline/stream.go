@@ -50,9 +50,9 @@ type Stream struct {
 
 	// testFrameHook, when set, runs before each frame extraction in
 	// Feed; a non-nil error aborts the hop loop. Tests use it to reach
-	// Feed's error exits, which are otherwise unreachable in-process
-	// (FrameColumn always sees exact-size frames and pushColumn cannot
-	// fail), to pin that accrued stage time survives an error return.
+	// Feed's error exit, which is otherwise unreachable in-process
+	// (FrameColumn always sees exact-size frames), to pin that accrued
+	// stage time survives an error return.
 	testFrameHook func() error
 
 	samples     []float64   // residue not yet consumed into frames
@@ -116,16 +116,14 @@ func (s *Stream) maxChunk() int {
 // error wrapping ErrOversizedChunk before any state changes; the caller
 // can split the chunk and retry.
 //
-// Feed is Accumulate followed by the in-stream hop loop (one
-// FrameColumn per completed hop) and a Detect pass; batched callers
-// drive those steps separately via PendingFrames/AcceptColumns.
-//
 // ew:hotpath — the streaming STFT column loop runs once per hop on the
 // serving path; the hotalloc analyzer keeps allocations out of it.
 func (s *Stream) Feed(chunk []float64) ([]Detection, error) {
-	if err := s.Accumulate(chunk); err != nil {
-		return nil, err
+	if total := len(s.samples) + len(chunk); total > s.maxChunk() {
+		return nil, fmt.Errorf("%w: %d buffered samples (cap %d)",
+			ErrOversizedChunk, total, s.maxChunk())
 	}
+	s.samples = append(s.samples, chunk...)
 	cfg := s.eng.cfg.STFT
 	t0 := time.Now()
 	var err error
@@ -141,9 +139,7 @@ func (s *Stream) Feed(chunk []float64) ([]Detection, error) {
 			break
 		}
 		s.samples = s.samples[cfg.HopSize:]
-		if err = s.pushColumn(col); err != nil {
-			break
-		}
+		s.pushColumn(col)
 	}
 	// Accrue the hop loop's cost on every exit: an error mid-extraction
 	// has already spent the time, and the serving layer folds these
@@ -154,84 +150,6 @@ func (s *Stream) Feed(chunk []float64) ([]Detection, error) {
 	}
 	return s.process(false)
 }
-
-// Accumulate appends raw samples to the stream's residue without
-// extracting any frames — the first half of Feed. A call that would
-// buffer more than MaxChunk samples fails with an error wrapping
-// ErrOversizedChunk before any state changes.
-func (s *Stream) Accumulate(chunk []float64) error {
-	if total := len(s.samples) + len(chunk); total > s.maxChunk() {
-		return fmt.Errorf("%w: %d buffered samples (cap %d)",
-			ErrOversizedChunk, total, s.maxChunk())
-	}
-	s.samples = append(s.samples, chunk...)
-	return nil
-}
-
-// PendingFrames reports how many complete FFT frames the buffered
-// residue holds — the number of FrameColumn calls the next Feed's hop
-// loop would make, and the number of frames an external batcher may
-// read with PendingFrame before committing columns via AcceptColumns.
-func (s *Stream) PendingFrames() int {
-	cfg := s.eng.cfg.STFT
-	if len(s.samples) < cfg.FFTSize {
-		return 0
-	}
-	return (len(s.samples)-cfg.FFTSize)/cfg.HopSize + 1
-}
-
-// PendingFrame returns the i-th pending frame (0 <= i < PendingFrames)
-// as a view into the residue buffer. The view is valid only until the
-// next call that mutates the stream (Accumulate, AcceptColumns, Feed,
-// Flush, Reset); batched callers copy it out before releasing the
-// stream.
-func (s *Stream) PendingFrame(i int) []float64 {
-	cfg := s.eng.cfg.STFT
-	off := i * cfg.HopSize
-	return s.samples[off : off+cfg.FFTSize]
-}
-
-// AcceptColumns commits externally computed magnitude columns for the
-// first len(cols) pending frames, consuming one hop of residue per
-// column — the exact state transition the in-stream hop loop performs,
-// so a stream driven by an external batcher is indistinguishable from
-// one running Feed. The stream takes ownership of each column slice
-// (they join the spectrogram window); callers must hand over freshly
-// allocated columns, not reused scratch. Columns beyond PendingFrames,
-// or of the wrong width, are rejected with the stream unchanged.
-func (s *Stream) AcceptColumns(cols [][]float64) error {
-	if len(cols) == 0 {
-		return nil
-	}
-	if pending := s.PendingFrames(); len(cols) > pending {
-		return fmt.Errorf("pipeline: %d columns offered for %d pending frames", len(cols), pending)
-	}
-	bins := s.eng.stft.Bins()
-	for i, col := range cols {
-		if len(col) != bins {
-			return fmt.Errorf("pipeline: column %d has %d bins, want %d", i, len(col), bins)
-		}
-	}
-	hop := s.eng.cfg.STFT.HopSize
-	for _, col := range cols {
-		s.samples = s.samples[hop:]
-		if err := s.pushColumn(col); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// AccrueSTFT folds externally measured column-computation time into the
-// stream's STFT stage timing, keeping Timings meaningful when an
-// external batcher computes the columns: each session is attributed its
-// share of the shared batch pass.
-func (s *Stream) AccrueSTFT(d time.Duration) { s.timings.STFT += d }
-
-// Detect runs the enhancement chain over the current window and returns
-// newly finalized detections — the tail half of Feed, for callers that
-// committed columns via AcceptColumns.
-func (s *Stream) Detect() ([]Detection, error) { return s.process(false) }
 
 // Flush processes whatever remains (zero-padding the final partial frame)
 // and emits any still-open detections. The stream remains usable.
@@ -245,14 +163,12 @@ func (s *Stream) Flush() ([]Detection, error) {
 			return nil, fmt.Errorf("pipeline: stream flush: %w", err)
 		}
 		s.samples = s.samples[:0]
-		if err := s.pushColumn(col); err != nil {
-			return nil, err
-		}
+		s.pushColumn(col)
 	}
 	return s.process(true)
 }
 
-func (s *Stream) pushColumn(col []float64) error {
+func (s *Stream) pushColumn(col []float64) {
 	// Accumulate the static template from the first frames.
 	if s.static == nil {
 		s.staticAccum = append(s.staticAccum, col)
@@ -286,7 +202,6 @@ func (s *Stream) pushColumn(col []float64) error {
 			s.frameOffset += drop
 		}
 	}
-	return nil
 }
 
 // emitSafety is how many frames behind the stream head a segment must end

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"testing"
+	"time"
 
 	"repro/internal/acoustic"
 	"repro/internal/audio"
@@ -429,5 +430,108 @@ func TestStreamDefaultChunkCap(t *testing.T) {
 	stream := NewStream(eng)
 	if _, err := stream.Feed(make([]float64, DefaultMaxChunk+1)); !errors.Is(err, ErrOversizedChunk) {
 		t.Fatalf("default cap error = %v, want ErrOversizedChunk", err)
+	}
+}
+
+// TestStreamFeedTimingAccruedOnError pins the Feed accounting fix: when
+// the hop loop exits on an error after consuming samples, the time
+// already spent extracting frames must still land in Timings().STFT —
+// previously the early returns skipped the accrual and error feeds
+// looked free to the serving layer's stage accounting.
+func TestStreamFeedTimingAccruedOnError(t *testing.T) {
+	eng, err := NewEngine(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewStream(eng)
+	sentinel := errors.New("injected frame failure")
+	calls := 0
+	s.testFrameHook = func() error {
+		calls++
+		if calls > 2 {
+			// Make the spent window unambiguous on coarse clocks.
+			time.Sleep(2 * time.Millisecond)
+			return sentinel
+		}
+		return nil
+	}
+	cfg := eng.cfg.STFT
+	chunk := make([]float64, cfg.FFTSize+3*cfg.HopSize)
+	if _, err := s.Feed(chunk); !errors.Is(err, sentinel) {
+		t.Fatalf("Feed error = %v, want injected failure", err)
+	}
+	if calls != 3 {
+		t.Fatalf("hook ran %d times, want 3 (two frames extracted, third aborted)", calls)
+	}
+	if got := s.Timings().STFT; got < 2*time.Millisecond {
+		t.Fatalf("STFT timing after failed feed = %v, want the spent time accrued", got)
+	}
+}
+
+// TestStreamCompactionClampMidStroke is the boundary regression for the
+// window-compaction clamp: when MaxWindow is exactly reached while a
+// stroke is still unemitted, the clamp must hold every frame of that
+// stroke in the window (letting it exceed MaxWindow) rather than drop
+// them. A clamped stream must emit detections identical to an unbounded
+// one.
+func TestStreamCompactionClampMidStroke(t *testing.T) {
+	engRef, err := NewEngine(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	engClamped, err := NewEngine(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sig := synthesizeSequence(t, stroke.Sequence{stroke.S3, stroke.S2})
+	ref, clamped := NewStream(engRef), NewStream(engClamped)
+	// Small enough that the cap is hit during the first stroke, before
+	// anything has been emitted (first emission waits out the stroke
+	// plus the safety margin).
+	clamped.MaxWindow = 40
+	var refDets, clampedDets []Detection
+	overfull := 0
+	for start := 0; start < len(sig.Samples); start += 2048 {
+		end := start + 2048
+		if end > len(sig.Samples) {
+			end = len(sig.Samples)
+		}
+		d1, err := ref.Feed(sig.Samples[start:end])
+		if err != nil {
+			t.Fatal(err)
+		}
+		refDets = append(refDets, d1...)
+		d2, err := clamped.Feed(sig.Samples[start:end])
+		if err != nil {
+			t.Fatal(err)
+		}
+		clampedDets = append(clampedDets, d2...)
+		if len(clamped.columns) > clamped.MaxWindow {
+			overfull++
+		}
+	}
+	d1, err := ref.Flush()
+	if err != nil {
+		t.Fatal(err)
+	}
+	refDets = append(refDets, d1...)
+	d2, err := clamped.Flush()
+	if err != nil {
+		t.Fatal(err)
+	}
+	clampedDets = append(clampedDets, d2...)
+	if overfull == 0 {
+		t.Fatal("clamp never engaged: window stayed within MaxWindow, boundary untested")
+	}
+	if len(refDets) == 0 {
+		t.Fatal("reference stream emitted nothing; scenario is degenerate")
+	}
+	if len(refDets) != len(clampedDets) {
+		t.Fatalf("clamped stream emitted %d detections, reference %d", len(clampedDets), len(refDets))
+	}
+	for i := range refDets {
+		if refDets[i].Stroke != clampedDets[i].Stroke || refDets[i].Segment != clampedDets[i].Segment {
+			t.Fatalf("detection %d differs under clamp: %+v vs %+v", i, clampedDets[i], refDets[i])
+		}
 	}
 }
