@@ -122,7 +122,18 @@ func TestStressShardedManagerUnderFire(t *testing.T) {
 					var err error
 					switch rng.Intn(8) {
 					case 0: // fault point: oversized chunk must bounce cleanly
-						_, err = sm.Feed(id, make([]float64, 16384))
+						// The size cap is enforced by the worker, so a full
+						// ingest queue legitimately refuses the job first;
+						// retry until it is admitted and the cap fires.
+						big := make([]float64, 16384)
+						for {
+							_, err = sm.Feed(id, big)
+							if !errors.Is(err, serve.ErrBackpressure) {
+								break
+							}
+							rejected.Add(1)
+							runtime.Gosched()
+						}
 						if !errors.Is(err, pipeline.ErrOversizedChunk) {
 							unexpected <- errors.New("oversized feed not rejected: " + errString(err))
 							return
