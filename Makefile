@@ -2,9 +2,14 @@
 # serving code. `make ci` is what every PR must keep green.
 GO ?= go
 
-.PHONY: ci vet lint lint-fast build test race fuzz-smoke metricsz-smoke ws-smoke bench-smoke bench-baseline bench-selftest stress bench soak-smoke soak
+.PHONY: ci fmt vet lint lint-fast build test race fuzz-smoke metricsz-smoke ws-smoke bench-smoke bench-baseline bench-selftest stress bench soak-smoke soak
 
-ci: vet lint build test race fuzz-smoke metricsz-smoke ws-smoke bench-smoke bench-selftest soak-smoke
+ci: fmt vet lint build test race fuzz-smoke metricsz-smoke ws-smoke bench-smoke bench-selftest soak-smoke
+
+# Every Go file in the tree (the perfbench module included) must be
+# gofmt-clean.
+fmt:
+	test -z "$$(gofmt -l .)"
 
 vet:
 	$(GO) vet ./...

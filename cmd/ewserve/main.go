@@ -9,7 +9,7 @@
 //
 // Wire protocol (see internal/serve):
 //
-//	POST   /v1/sessions            open a session → {"session":"s000001"}
+//	POST   /v1/sessions            open a session → {"session":"s00000001"}
 //	POST   /v1/sessions/{id}/audio 16-bit LE mono PCM at 44.1 kHz → detections
 //	POST   /v1/sessions/{id}/flush drain + word candidates
 //	DELETE /v1/sessions/{id}       close

@@ -41,7 +41,7 @@ func TestFixtureEdges(t *testing.T) {
 	}
 	g := callgraph.Build([]*callgraph.Unit{pkg.Unit()})
 
-	got := make(map[string]bool)  // "caller -> callee kind"
+	got := make(map[string]bool)   // "caller -> callee kind"
 	pairs := make(map[string]bool) // "caller -> callee", any kind
 	for _, n := range g.Nodes() {
 		for _, e := range g.Out(n) {

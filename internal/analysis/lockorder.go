@@ -15,7 +15,7 @@ import (
 // deadlock risk, with both (or all) acquisition paths spelled out.
 //
 // Nodes are mutexes keyed by declaration identity: the struct-field
-// object for `m.mu` (so Manager.mu is one node no matter how many
+// object for `m.mu` (so shard.mu is one node no matter how many
 // receivers or packages touch it), the variable object for package
 // and local mutexes. An edge A → B is added whenever B is acquired at
 // a point where A is provably held — directly inside one function, or
@@ -47,7 +47,7 @@ func (Lockorder) Match(path string) bool { return true }
 // lockNode is one mutex in the order graph.
 type lockNode struct {
 	key  any    // types.Object when resolved, fallback string otherwise
-	name string // display name: "serve.Manager.mu"
+	name string // display name: "serve.shard.mu"
 }
 
 // orderEdge records A → B with its first witness.

@@ -325,7 +325,7 @@ func hasDefaultClause(body *ast.BlockStmt) bool {
 }
 
 // recordBranch snapshots held at break/continue so loop and switch
-// exits can join it ("break // holds m.mu" in Manager.open).
+// exits can join it ("break // holds m.mu" in serve's shard.open).
 func (w *lockWalker) recordBranch(s *ast.BranchStmt, held heldSet, ctxs []*breakCtx) {
 	wantLoop := s.Tok.String() == "continue"
 	for i := len(ctxs) - 1; i >= 0; i-- {

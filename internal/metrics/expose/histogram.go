@@ -3,6 +3,7 @@ package expose
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync/atomic"
 )
@@ -94,4 +95,54 @@ func (h *Histogram) View() HistView {
 	v.Count = h.count.Load()
 	v.Sum = math.Float64frombits(h.sum.Load())
 	return v
+}
+
+// MergeViews sums views that share one bucket layout into a single view
+// (the service-wide histogram of per-shard ones). It panics when the
+// bounds differ, which is a wiring bug, not a runtime condition.
+func MergeViews(views ...HistView) HistView {
+	var m HistView
+	for i, v := range views {
+		if i == 0 {
+			m.UpperBounds = v.UpperBounds
+			m.Cumulative = make([]uint64, len(v.Cumulative))
+		} else if !slices.Equal(m.UpperBounds, v.UpperBounds) {
+			panic("expose: MergeViews over histograms with different bucket bounds")
+		}
+		for j, c := range v.Cumulative {
+			m.Cumulative[j] += c
+		}
+		m.Count += v.Count
+		m.Sum += v.Sum
+	}
+	return m
+}
+
+// Quantile estimates the q-quantile (0 < q ≤ 1) of the observations with
+// Prometheus histogram_quantile semantics: find the bucket holding rank
+// q×Count and interpolate linearly inside it, taking 0 as the lower edge
+// of the first bucket. A rank that falls in the +Inf bucket returns the
+// largest finite bound. An empty view, or q ≤ 0, returns 0, so the
+// estimate is always finite and JSON-encodable.
+func (v HistView) Quantile(q float64) float64 {
+	if v.Count == 0 || q <= 0 {
+		return 0
+	}
+	rank := q * float64(v.Count)
+	b := sort.Search(len(v.Cumulative), func(i int) bool { return float64(v.Cumulative[i]) >= rank })
+	if b == len(v.Cumulative) {
+		return v.UpperBounds[len(v.UpperBounds)-1]
+	}
+	upper := v.UpperBounds[b]
+	if b == 0 && upper <= 0 {
+		return upper
+	}
+	var lower float64
+	inBucket := float64(v.Cumulative[b])
+	if b > 0 {
+		lower = v.UpperBounds[b-1]
+		inBucket -= float64(v.Cumulative[b-1])
+		rank -= float64(v.Cumulative[b-1])
+	}
+	return lower + (upper-lower)*(rank/inBucket)
 }

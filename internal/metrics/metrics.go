@@ -232,65 +232,6 @@ func percentileSorted(sorted []float64, p float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
-// Reservoir is a bounded ring of recent latency samples. Once full, new
-// samples overwrite the oldest, so the reservoir always summarizes the
-// most recent Cap observations. It is not safe for concurrent use; the
-// owner (e.g. one serve.Manager shard) guards it with its own lock.
-type Reservoir struct {
-	samples []float64
-	next    int
-	full    bool
-}
-
-// NewReservoir creates a reservoir bounded at capacity samples
-// (capacity must be positive).
-func NewReservoir(capacity int) (*Reservoir, error) {
-	if capacity <= 0 {
-		return nil, fmt.Errorf("metrics: reservoir capacity must be positive, got %d", capacity)
-	}
-	return &Reservoir{samples: make([]float64, 0, capacity)}, nil
-}
-
-// Add records one sample, evicting the oldest when full.
-func (r *Reservoir) Add(x float64) {
-	if !r.full && len(r.samples) < cap(r.samples) {
-		r.samples = append(r.samples, x)
-		if len(r.samples) == cap(r.samples) {
-			r.full = true
-		}
-		return
-	}
-	r.samples[r.next] = x
-	r.next = (r.next + 1) % len(r.samples)
-}
-
-// Len reports how many samples the reservoir currently holds.
-func (r *Reservoir) Len() int { return len(r.samples) }
-
-// Samples returns a copy of the retained samples in unspecified order
-// (quantiles do not depend on order).
-func (r *Reservoir) Samples() []float64 {
-	return append([]float64(nil), r.samples...)
-}
-
-// MergeLatencies pools several per-shard sample sets into one summary by
-// concatenation — exact for quantiles over the union of the retained
-// samples, with shards weighted by how many samples each retained. All
-// fields are NaN when every group is empty.
-func MergeLatencies(groups ...[]float64) LatencySummary {
-	total := 0
-	for _, g := range groups {
-		total += len(g)
-	}
-	pooled := make([]float64, 0, total)
-	for _, g := range groups {
-		pooled = append(pooled, g...)
-	}
-	// pooled is owned here, so it can be summarized in place without the
-	// defensive copy SummarizeLatencies makes.
-	return summarizeSortingInPlace(pooled)
-}
-
 // LatencySummary is the percentile triple every serving report quotes.
 type LatencySummary struct {
 	P50 float64 `json:"p50"`
@@ -299,26 +240,19 @@ type LatencySummary struct {
 }
 
 // SummarizeLatencies computes the standard p50/p95/p99 triple. The
-// input is copied and sorted once, then indexed three times — this sits
-// on the stats path of every serving shard, where the previous
-// copy-and-sort per percentile tripled the cost on a full 4096-sample
-// reservoir. The input is not modified. All fields are NaN for empty
-// input.
+// input is copied and sorted once, then indexed three times, instead of
+// paying a copy and sort per percentile. The input is not modified. All
+// fields are NaN for empty input.
 func SummarizeLatencies(xs []float64) LatencySummary {
-	return summarizeSortingInPlace(append([]float64(nil), xs...))
-}
-
-// summarizeSortingInPlace sorts xs (which the caller must own) and
-// reads the triple out of the single sorted copy.
-func summarizeSortingInPlace(xs []float64) LatencySummary {
 	if len(xs) == 0 {
 		nan := math.NaN()
 		return LatencySummary{P50: nan, P95: nan, P99: nan}
 	}
-	sort.Float64s(xs)
+	sorted := append([]float64(nil), xs...)
+	sort.Float64s(sorted)
 	return LatencySummary{
-		P50: percentileSorted(xs, 50),
-		P95: percentileSorted(xs, 95),
-		P99: percentileSorted(xs, 99),
+		P50: percentileSorted(sorted, 50),
+		P95: percentileSorted(sorted, 95),
+		P99: percentileSorted(sorted, 99),
 	}
 }

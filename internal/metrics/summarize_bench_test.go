@@ -6,8 +6,7 @@ import (
 	"testing"
 )
 
-// benchSamples mirrors a full serving latency reservoir (the
-// latencyRing in internal/serve).
+// benchSamples draws n exponentially distributed latencies (ms).
 func benchSamples(n int) []float64 {
 	rng := rand.New(rand.NewSource(7))
 	xs := make([]float64, n)

@@ -15,7 +15,7 @@ import (
 // server, aggregated into a throughput/latency report.
 func TestRunLoadInProcess(t *testing.T) {
 	leak.Check(t)
-	mgr, err := NewManager(Config{MaxSessions: 8, Workers: 2, QueueDepth: 16, Prewarm: 2})
+	mgr, err := NewShardedManager(Config{MaxSessions: 8, Workers: 2, QueueDepth: 16, Prewarm: 2}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestRunLoadInProcess(t *testing.T) {
 // soak must complete more sessions than writers.
 func TestRunLoadReplaySoak(t *testing.T) {
 	leak.Check(t)
-	mgr, err := NewManager(Config{MaxSessions: 8, Workers: 2, QueueDepth: 16})
+	mgr, err := NewShardedManager(Config{MaxSessions: 8, Workers: 2, QueueDepth: 16}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,6 @@ package serve
 import (
 	"errors"
 	"fmt"
-	"math"
 	stdruntime "runtime"
 	"sync"
 	"sync/atomic"
@@ -30,12 +29,12 @@ var (
 	// ErrUnknownSession means the session ID was never opened, was
 	// closed, or was evicted for idleness.
 	ErrUnknownSession = errors.New("serve: unknown session")
-	// ErrClosed means the manager has been shut down.
+	// ErrClosed means the service has been shut down.
 	ErrClosed = errors.New("serve: manager closed")
 )
 
-// Config parameterizes a Manager. The zero value is usable: every field
-// has a serving-appropriate default.
+// Config parameterizes a ShardedManager. The zero value is usable:
+// every field has a serving-appropriate default.
 type Config struct {
 	// Engines builds recognizer engines for the pool (nil: default
 	// pipeline configuration).
@@ -98,14 +97,10 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// latencyRing bounds how many recent feed latencies the stats snapshot
-// summarizes.
-const latencyRing = 4096
-
 // feedLatencyBuckets are the upper bounds (milliseconds) of the
-// /metricsz feed-latency histogram: octaves from 0.25 ms to 512 ms, so
-// both a warm sub-millisecond feed and a cold-engine or contended-shard
-// stall land in informative buckets.
+// feed-latency histogram behind /metricsz and the /statsz quantiles:
+// octaves from 0.25 ms to 512 ms, so both a warm sub-millisecond feed
+// and a cold-engine or contended-shard stall land in informative buckets.
 var feedLatencyBuckets = mustExpBuckets(0.25, 2, 12)
 
 func mustExpBuckets(start, factor float64, n int) []float64 {
@@ -116,12 +111,13 @@ func mustExpBuckets(start, factor float64, n int) []float64 {
 	return b
 }
 
-// Manager owns per-session stream state keyed by session ID and pushes
-// every chunk through a bounded worker pool. Feed and Flush are
-// synchronous: they enqueue a job and wait for its result, so a caller
-// that feeds one session sequentially observes detections in order.
-// Distinct sessions are processed concurrently up to Workers.
-type Manager struct {
+// shard is one partition of a ShardedManager: it owns per-session
+// stream state keyed by session ID and pushes every chunk through a
+// bounded worker pool. Feed and Flush are synchronous: they enqueue a
+// job and wait for its result, so a caller that feeds one session
+// sequentially observes detections in order. Distinct sessions are
+// processed concurrently up to the shard's Workers.
+type shard struct {
 	cfg  Config
 	pool *EnginePool
 	jobs chan *job
@@ -130,7 +126,6 @@ type Manager struct {
 
 	mu       sync.Mutex
 	sessions map[string]*session // guarded by mu
-	nextID   uint64              // guarded by mu
 	closed   bool                // guarded by mu
 
 	chunks     atomic.Uint64
@@ -140,16 +135,10 @@ type Manager struct {
 	feedErrors atomic.Uint64
 	stages     ewruntime.SharedBreakdown
 
-	latMu sync.Mutex
-	lat   *metrics.Reservoir // guarded by latMu
-
-	// latHist is the cumulative feed-latency histogram behind /metricsz;
-	// internally atomic, so no lock is shared with the reservoir.
+	// latHist is the shard's only feed-latency store: /metricsz renders
+	// it and /statsz estimates its quantiles from it. Internally atomic,
+	// so recording a feed takes no lock.
 	latHist *expose.Histogram
-
-	// testJobStart, when set, runs at the top of every worker job; tests
-	// use it to hold workers and saturate the queue deterministically.
-	testJobStart func()
 }
 
 // session serializes all pipeline work for one client. The mutex is held
@@ -183,15 +172,10 @@ type jobResult struct {
 	err  error
 }
 
-// NewManager validates cfg, pre-warms the engine pool and starts the
-// worker goroutines. Call Shutdown to release them.
-func NewManager(cfg Config) (*Manager, error) {
-	cfg = cfg.withDefaults()
+// newShard pre-warms the engine pool and starts the worker goroutines
+// for an already-resolved per-shard cfg. Call Shutdown to release them.
+func newShard(cfg Config) (*shard, error) {
 	pool, err := NewEnginePool(cfg.Engines, cfg.Prewarm)
-	if err != nil {
-		return nil, err
-	}
-	lat, err := metrics.NewReservoir(latencyRing)
 	if err != nil {
 		return nil, err
 	}
@@ -199,13 +183,12 @@ func NewManager(cfg Config) (*Manager, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := &Manager{
+	m := &shard{
 		cfg:      cfg,
 		pool:     pool,
 		jobs:     make(chan *job, cfg.QueueDepth),
 		quit:     make(chan struct{}),
 		sessions: make(map[string]*session),
-		lat:      lat,
 		latHist:  hist,
 	}
 	m.wg.Add(cfg.Workers)
@@ -215,50 +198,23 @@ func NewManager(cfg Config) (*Manager, error) {
 	return m, nil
 }
 
-// Open registers a new session and returns its ID. When the table is
-// full it first attempts idle eviction; if the table is still full the
-// call fails with ErrSessionLimit.
-func (m *Manager) Open() (string, error) {
-	return m.open("")
-}
-
-// OpenWithID registers a session under a caller-chosen ID — the hook a
-// ShardedManager uses to mint IDs that hash to the shard it routes
-// through. The ID must be non-empty and not currently in the table.
-func (m *Manager) OpenWithID(id string) error {
-	if id == "" {
-		return fmt.Errorf("serve: empty session id")
-	}
-	_, err := m.open(id)
-	return err
-}
-
-// open shares the admission path of Open and OpenWithID: an empty id
-// means "mint the next sequential one".
-func (m *Manager) open(id string) (string, error) {
+// open registers a session under the ID the ShardedManager minted for
+// this shard. When the table is full it first attempts idle eviction;
+// if the table is still full the call fails with ErrSessionLimit.
+func (m *shard) open(id string) error {
 	for attempt := 0; ; attempt++ {
 		m.mu.Lock()
 		if m.closed {
 			m.mu.Unlock()
-			return "", ErrClosed
-		}
-		if id != "" {
-			if _, dup := m.sessions[id]; dup {
-				m.mu.Unlock()
-				return "", fmt.Errorf("serve: duplicate session id %q", id)
-			}
+			return ErrClosed
 		}
 		if len(m.sessions) < m.cfg.MaxSessions {
 			break // holds m.mu
 		}
 		m.mu.Unlock()
 		if attempt > 0 || m.EvictIdle() == 0 {
-			return "", ErrSessionLimit
+			return ErrSessionLimit
 		}
-	}
-	if id == "" {
-		m.nextID++
-		id = fmt.Sprintf("s%06d", m.nextID)
 	}
 	sess := &session{id: id}
 	sess.lastActive.Store(m.cfg.Clock().UnixNano())
@@ -272,20 +228,20 @@ func (m *Manager) open(id string) (string, error) {
 		m.mu.Lock()
 		delete(m.sessions, id)
 		m.mu.Unlock()
-		return "", err
+		return err
 	}
 	st.MaxChunk = m.cfg.MaxChunk
 	st.MaxWindow = m.cfg.MaxWindow
 	sess.mu.Lock()
 	sess.stream = st
 	sess.mu.Unlock()
-	return id, nil
+	return nil
 }
 
 // Feed pushes one audio chunk into a session and returns the strokes
 // that completed. A full ingest queue yields ErrBackpressure without
 // touching session state.
-func (m *Manager) Feed(id string, chunk []float64) ([]pipeline.Detection, error) {
+func (m *shard) Feed(id string, chunk []float64) ([]pipeline.Detection, error) {
 	sess, err := m.lookup(id)
 	if err != nil {
 		return nil, err
@@ -297,7 +253,7 @@ func (m *Manager) Feed(id string, chunk []float64) ([]pipeline.Detection, error)
 // detections plus word candidates for the accumulated stroke sequence
 // (when a Recognizer is configured). The sequence resets afterwards so
 // the next word starts clean; the session itself stays open.
-func (m *Manager) Flush(id string) ([]pipeline.Detection, []infer.Candidate, error) {
+func (m *shard) Flush(id string) ([]pipeline.Detection, []infer.Candidate, error) {
 	sess, err := m.lookup(id)
 	if err != nil {
 		return nil, nil, err
@@ -321,7 +277,7 @@ func (m *Manager) Flush(id string) ([]pipeline.Detection, []infer.Candidate, err
 }
 
 // Close removes a session and returns its engine to the pool.
-func (m *Manager) Close(id string) error {
+func (m *shard) Close(id string) error {
 	m.mu.Lock()
 	sess, ok := m.sessions[id]
 	if ok {
@@ -338,7 +294,7 @@ func (m *Manager) Close(id string) error {
 // Touch refreshes a session's idle clock without submitting work. The
 // streaming front end calls it so a live connection counts as session
 // activity for EvictIdle even when no audio is flowing.
-func (m *Manager) Touch(id string) error {
+func (m *shard) Touch(id string) error {
 	sess, err := m.lookup(id)
 	if err != nil {
 		return err
@@ -350,7 +306,7 @@ func (m *Manager) Touch(id string) error {
 // EvictIdle reclaims sessions idle past IdleTimeout, returning how many
 // were evicted. The HTTP server calls this on a timer; Open calls it
 // when the table is full.
-func (m *Manager) EvictIdle() int {
+func (m *shard) EvictIdle() int {
 	if m.cfg.IdleTimeout <= 0 {
 		return 0
 	}
@@ -375,7 +331,7 @@ func (m *Manager) EvictIdle() int {
 
 // Shutdown closes every session, stops the workers and waits for them.
 // Queued jobs are abandoned; their callers receive ErrClosed.
-func (m *Manager) Shutdown() {
+func (m *shard) Shutdown() {
 	m.mu.Lock()
 	if m.closed {
 		m.mu.Unlock()
@@ -395,7 +351,7 @@ func (m *Manager) Shutdown() {
 	m.wg.Wait()
 }
 
-func (m *Manager) lookup(id string) (*session, error) {
+func (m *shard) lookup(id string) (*session, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {
@@ -411,7 +367,7 @@ func (m *Manager) lookup(id string) (*session, error) {
 // release marks a session closed and checks its stream back in. It must
 // be called after the session left the table, so no new jobs target it;
 // an in-flight job finishes first because both sides take sess.mu.
-func (m *Manager) release(sess *session) {
+func (m *shard) release(sess *session) {
 	sess.mu.Lock()
 	if !sess.closed {
 		sess.closed = true
@@ -424,7 +380,7 @@ func (m *Manager) release(sess *session) {
 }
 
 // submit enqueues one job with admission control and waits for it.
-func (m *Manager) submit(sess *session, chunk []float64, flush bool) ([]pipeline.Detection, error) {
+func (m *shard) submit(sess *session, chunk []float64, flush bool) ([]pipeline.Detection, error) {
 	j := &job{sess: sess, chunk: chunk, flush: flush, reply: make(chan jobResult, 1)}
 	select {
 	case m.jobs <- j:
@@ -440,7 +396,7 @@ func (m *Manager) submit(sess *session, chunk []float64, flush bool) ([]pipeline
 	}
 }
 
-func (m *Manager) worker() {
+func (m *shard) worker() {
 	defer m.wg.Done()
 	for {
 		select {
@@ -452,10 +408,7 @@ func (m *Manager) worker() {
 	}
 }
 
-func (m *Manager) runJob(j *job) {
-	if m.testJobStart != nil {
-		m.testJobStart()
-	}
+func (m *shard) runJob(j *job) {
 	if m.cfg.JobStartHook != nil {
 		m.cfg.JobStartHook(j.sess.id)
 	}
@@ -514,7 +467,7 @@ func (m *Manager) runJob(j *job) {
 // means include the quiet feeds that led up to each stroke.
 //
 // ew:holds sess.mu — only runJob calls this, with the session locked.
-func (m *Manager) accountStages(sess *session, strokes int) {
+func (m *shard) accountStages(sess *session, strokes int) {
 	t := sess.stream.Timings()
 	last := sess.lastStages
 	sess.lastStages = t
@@ -529,29 +482,8 @@ func (m *Manager) accountStages(sess *session, strokes int) {
 	}
 }
 
-func (m *Manager) recordLatency(d time.Duration) {
-	ms := float64(d) / float64(time.Millisecond)
-	m.latMu.Lock()
-	m.lat.Add(ms)
-	m.latMu.Unlock()
-	m.latHist.Observe(ms)
-}
-
-// latencySamples copies the retained feed-latency samples; the sharded
-// aggregator pools them across shards for merged quantiles.
-func (m *Manager) latencySamples() []float64 {
-	m.latMu.Lock()
-	defer m.latMu.Unlock()
-	return m.lat.Samples()
-}
-
-// MaxChunk reports the per-feed sample cap admission control enforces
-// (the HTTP front end derives its body limit from it).
-func (m *Manager) MaxChunk() int {
-	if m.cfg.MaxChunk > 0 {
-		return m.cfg.MaxChunk
-	}
-	return pipeline.DefaultMaxChunk
+func (m *shard) recordLatency(d time.Duration) {
+	m.latHist.Observe(float64(d) / float64(time.Millisecond))
 }
 
 // StageMillis is the per-stroke stage cost view exposed by Snapshot,
@@ -582,9 +514,9 @@ type ShardStats struct {
 
 // Stats is the /statsz snapshot: service health, pool occupancy,
 // throughput counters, feed-latency quantiles and per-stroke stage cost
-// aggregated across all sessions. For a ShardedManager the top-level
-// fields aggregate every shard (latency quantiles are merged over the
-// pooled per-shard samples) and Shards carries the per-shard view.
+// aggregated across all sessions. The top-level fields aggregate every
+// shard and Shards carries the per-shard view. FeedLatencyMs is
+// estimated from the same per-shard histograms /metricsz exposes.
 type Stats struct {
 	ActiveSessions int                    `json:"active_sessions"`
 	MaxSessions    int                    `json:"max_sessions"`
@@ -602,33 +534,9 @@ type Stats struct {
 	Shards         []ShardStats           `json:"shards,omitempty"`
 }
 
-// Snapshot assembles a consistent-enough stats view for monitoring. A
-// single Manager reports itself as one shard, so /statsz and /metricsz
-// have the same shape whether or not the service is sharded.
-func (m *Manager) Snapshot() Stats {
-	sv := m.shardView()
-	return Stats{
-		ActiveSessions: sv.ActiveSessions,
-		MaxSessions:    m.cfg.MaxSessions,
-		Workers:        m.cfg.Workers,
-		QueueLen:       sv.QueueLen,
-		QueueCap:       sv.QueueCap,
-		Pool:           m.pool.Stats(),
-		Chunks:         sv.Chunks,
-		Detections:     sv.Detections,
-		Backpressure:   sv.Backpressure,
-		FeedErrors:     sv.FeedErrors,
-		Evictions:      sv.Evictions,
-		FeedLatencyMs:  summarizeFeedLatency(m.latencySamples()),
-		PerStroke:      stageMillis(m.stages.Snapshot()),
-		Shards:         []ShardStats{sv},
-	}
-}
-
-// shardView reads this manager's counters as one shard's contribution —
-// cheap (atomic loads plus a brief table lock), with no latency sorting,
-// so the /metricsz collectors can call it on every scrape.
-func (m *Manager) shardView() ShardStats {
+// shardView reads this shard's counters — cheap (atomic loads plus a
+// brief table lock), so the /metricsz collectors call it on every scrape.
+func (m *shard) shardView() ShardStats {
 	m.mu.Lock()
 	active := len(m.sessions)
 	m.mu.Unlock()
@@ -643,25 +551,6 @@ func (m *Manager) shardView() ShardStats {
 		Evictions:      m.evictions.Load(),
 	}
 }
-
-// shardStats implements metricsSource for a single manager: one shard.
-func (m *Manager) shardStats() []ShardStats { return []ShardStats{m.shardView()} }
-
-// feedLatencyHistograms implements metricsSource: one histogram per
-// shard, index-aligned with shardStats.
-func (m *Manager) feedLatencyHistograms() []*expose.Histogram {
-	return []*expose.Histogram{m.latHist}
-}
-
-// stageTotals implements metricsSource: cumulative stage time and
-// stroke count since startup.
-func (m *Manager) stageTotals() ewruntime.StageBreakdown { return m.stages.Snapshot() }
-
-// limits implements metricsSource: the configured service-wide bounds.
-func (m *Manager) limits() (maxSessions, workers int) { return m.cfg.MaxSessions, m.cfg.Workers }
-
-// poolStats implements metricsSource.
-func (m *Manager) poolStats() PoolStats { return m.pool.Stats() }
 
 // stageMillis converts an aggregated stage breakdown into the per-stroke
 // millisecond view /statsz exposes (zero value when no strokes yet).
@@ -680,24 +569,4 @@ func stageMillis(b ewruntime.StageBreakdown) StageMillis {
 		Total:        ms(per.Total()),
 		Strokes:      b.Strokes,
 	}
-}
-
-// summarizeFeedLatency is the single choke point where feed-latency
-// samples become the quantile triple /statsz serves: with no samples
-// (zero traffic) the quantiles are NaN, which encoding/json rejects —
-// the encoder would abort mid-body and the scrape would see truncated
-// JSON — so NaN is reported as zero here, once, for both the single
-// Manager and the ShardedManager aggregation path.
-func summarizeFeedLatency(groups ...[]float64) metrics.LatencySummary {
-	s := metrics.MergeLatencies(groups...)
-	if math.IsNaN(s.P50) {
-		s.P50 = 0
-	}
-	if math.IsNaN(s.P95) {
-		s.P95 = 0
-	}
-	if math.IsNaN(s.P99) {
-		s.P99 = 0
-	}
-	return s
 }

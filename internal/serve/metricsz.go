@@ -8,18 +8,11 @@ import (
 	ewruntime "repro/internal/runtime"
 )
 
-// metricsSource is the cheap-read surface the /metricsz collectors
-// scrape: per-shard counter views, per-shard feed-latency histograms
-// (index-aligned with the shard views), cumulative stage totals and the
-// configured bounds. *Manager and *ShardedManager both implement it;
-// unlike Snapshot, none of these reads sorts latency samples, so a
-// tight scrape loop stays off the quantile path entirely.
+// metricsSource is what NewServer needs to build /metricsz: the
+// service's shards. *ShardedManager implements it, and so does any type
+// that embeds one.
 type metricsSource interface {
-	shardStats() []ShardStats
-	feedLatencyHistograms() []*expose.Histogram
-	stageTotals() ewruntime.StageBreakdown
-	limits() (maxSessions, workers int)
-	poolStats() PoolStats
+	serviceShards() shardSet
 }
 
 // stageNames orders the per-stage counter series; the accessor pulls
@@ -35,17 +28,16 @@ var stageNames = [...]struct {
 	{"dtw", func(b *ewruntime.StageBreakdown) time.Duration { return b.DTW }},
 }
 
-// newServiceRegistry builds the /metricsz registry over a metrics
-// source. Every family either carries a shard="N" label (per-shard
+// newServiceRegistry builds the /metricsz registry over a service's
+// shards. Every family either carries a shard="N" label (per-shard
 // counters and the feed-latency histogram, so cross-shard skew — the
 // ROADMAP's rebalancing concern — is visible from a dashboard) or is a
 // service-wide scalar. Label sets are precomputed: the shard count is
 // fixed for the life of the manager, so scrapes only allocate the
 // per-scrape point slices.
-func newServiceRegistry(ms metricsSource) *expose.Registry {
+func newServiceRegistry(ss shardSet) *expose.Registry {
 	r := expose.NewRegistry()
-	shards := len(ms.feedLatencyHistograms())
-	labels := make([][]expose.Label, shards)
+	labels := make([][]expose.Label, len(ss))
 	for i := range labels {
 		labels[i] = []expose.Label{{Name: "shard", Value: strconv.Itoa(i)}}
 	}
@@ -53,7 +45,7 @@ func newServiceRegistry(ms metricsSource) *expose.Registry {
 	perShard := func(name, help string, kind expose.Kind, get func(ShardStats) float64) {
 		r.MustRegister(expose.Desc{Name: name, Help: help, Kind: kind},
 			func(emit func(expose.Point)) {
-				for i, sv := range ms.shardStats() {
+				for i, sv := range ss.views() {
 					emit(expose.Point{Labels: labels[i], Value: get(sv)})
 				}
 			})
@@ -78,29 +70,29 @@ func newServiceRegistry(ms metricsSource) *expose.Registry {
 	r.MustRegister(expose.Desc{Name: "echowrite_max_sessions",
 		Help: "Configured session-table bound, summed over shards.", Kind: expose.KindGauge},
 		func(emit func(expose.Point)) {
-			maxSessions, _ := ms.limits()
+			maxSessions, _ := ss.limits()
 			emit(expose.Point{Value: float64(maxSessions)})
 		})
 	r.MustRegister(expose.Desc{Name: "echowrite_workers",
 		Help: "Worker goroutines, summed over shards.", Kind: expose.KindGauge},
 		func(emit func(expose.Point)) {
-			_, workers := ms.limits()
+			_, workers := ss.limits()
 			emit(expose.Point{Value: float64(workers)})
 		})
 	r.MustRegister(expose.Desc{Name: "echowrite_engine_pool_created_total",
 		Help: "Recognizer engines built over the service lifetime.", Kind: expose.KindCounter},
 		func(emit func(expose.Point)) {
-			emit(expose.Point{Value: float64(ms.poolStats().Created)})
+			emit(expose.Point{Value: float64(ss.pool().Created)})
 		})
 	r.MustRegister(expose.Desc{Name: "echowrite_engine_pool_reused_total",
 		Help: "Engine checkouts served from the warm free list.", Kind: expose.KindCounter},
 		func(emit func(expose.Point)) {
-			emit(expose.Point{Value: float64(ms.poolStats().Reused)})
+			emit(expose.Point{Value: float64(ss.pool().Reused)})
 		})
 	r.MustRegister(expose.Desc{Name: "echowrite_engine_pool_free",
 		Help: "Warm engines currently checked in.", Kind: expose.KindGauge},
 		func(emit func(expose.Point)) {
-			emit(expose.Point{Value: float64(ms.poolStats().Free)})
+			emit(expose.Point{Value: float64(ss.pool().Free)})
 		})
 
 	stageLabels := make([][]expose.Label, len(stageNames))
@@ -111,7 +103,7 @@ func newServiceRegistry(ms metricsSource) *expose.Registry {
 		Help: "Cumulative pipeline time per stage; divide by echowrite_strokes_total for the per-stroke breakdown /statsz reports.",
 		Kind: expose.KindCounter},
 		func(emit func(expose.Point)) {
-			b := ms.stageTotals()
+			b := ss.stages()
 			for i := range stageNames {
 				emit(expose.Point{Labels: stageLabels[i], Value: stageNames[i].get(&b).Seconds()})
 			}
@@ -119,15 +111,14 @@ func newServiceRegistry(ms metricsSource) *expose.Registry {
 	r.MustRegister(expose.Desc{Name: "echowrite_strokes_total",
 		Help: "Strokes covered by the stage totals.", Kind: expose.KindCounter},
 		func(emit func(expose.Point)) {
-			emit(expose.Point{Value: float64(ms.stageTotals().Strokes)})
+			emit(expose.Point{Value: float64(ss.stages().Strokes)})
 		})
 
 	r.MustRegister(expose.Desc{Name: "echowrite_feed_latency_milliseconds",
 		Help: "Per-feed pipeline latency histogram (log-spaced ms buckets), per shard.",
 		Kind: expose.KindHistogram},
 		func(emit func(expose.Point)) {
-			for i, h := range ms.feedLatencyHistograms() {
-				v := h.View()
+			for i, v := range ss.latencyViews() {
 				emit(expose.Point{Labels: labels[i], Hist: &v})
 			}
 		})

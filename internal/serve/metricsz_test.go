@@ -1,16 +1,19 @@
 package serve
 
 import (
+	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/infer"
+	"repro/internal/metrics"
 	"repro/internal/metrics/expose"
 	"repro/internal/pipeline"
 	"repro/internal/stroke"
@@ -35,8 +38,7 @@ func scrape(t *testing.T, base, path string) (int, string, string) {
 
 // TestMetricszGoldenZeroTraffic pins the full exposition — metric
 // names, HELP/TYPE ordering, label rendering, histogram bucket layout
-// with the +Inf bucket — byte for byte against testdata, for both a
-// single manager and a sharded one.
+// with the +Inf bucket — byte for byte against testdata.
 func TestMetricszGoldenZeroTraffic(t *testing.T) {
 	leak.Check(t)
 	cases := []struct {
@@ -44,13 +46,6 @@ func TestMetricszGoldenZeroTraffic(t *testing.T) {
 		golden string
 		mk     func(t *testing.T) Service
 	}{
-		{"single", "testdata/metricsz_single_zero.txt", func(t *testing.T) Service {
-			mgr, err := NewManager(Config{MaxSessions: 4, Workers: 2, Prewarm: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return mgr
-		}},
 		{"sharded", "testdata/metricsz_sharded_zero.txt", func(t *testing.T) Service {
 			sm, err := NewShardedManager(Config{MaxSessions: 4, Workers: 2, QueueDepth: 8, Prewarm: 2}, 2)
 			if err != nil {
@@ -217,6 +212,43 @@ func TestMetricszSmoke(t *testing.T) {
 	if histCount != float64(st.Chunks) {
 		t.Errorf("histogram observations = %g, chunks processed = %d", histCount, st.Chunks)
 	}
+
+	// /statsz and /metricsz are one latency store: summing the scraped
+	// per-shard buckets and interpolating them must reproduce the /statsz
+	// quantiles exactly.
+	cum := map[float64]uint64{}
+	for _, s := range hist.Samples {
+		if s.Name != "echowrite_feed_latency_milliseconds_bucket" {
+			continue
+		}
+		for _, l := range s.Labels {
+			if l.Name == "le" && l.Value != "+Inf" {
+				bound, err := strconv.ParseFloat(l.Value, 64)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cum[bound] += uint64(s.Value)
+			}
+		}
+	}
+	merged := expose.HistView{Count: uint64(histCount)}
+	for bound := range cum {
+		merged.UpperBounds = append(merged.UpperBounds, bound)
+	}
+	sort.Float64s(merged.UpperBounds)
+	for _, bound := range merged.UpperBounds {
+		merged.Cumulative = append(merged.Cumulative, cum[bound])
+	}
+	want := metrics.LatencySummary{P50: merged.Quantile(0.50), P95: merged.Quantile(0.95), P99: merged.Quantile(0.99)}
+	_, _, statsz := scrape(t, ts.URL, "/statsz")
+	var served Stats
+	if err := json.Unmarshal([]byte(statsz), &served); err != nil {
+		t.Fatalf("/statsz: %v", err)
+	}
+	if served.FeedLatencyMs != want || want.P50 <= 0 {
+		t.Errorf("/statsz feed_latency_ms = %+v, recomputed from /metricsz buckets = %+v",
+			served.FeedLatencyMs, want)
+	}
 }
 
 // feedAll streams samples through Feed in pipeline-sized chunks,
@@ -250,17 +282,18 @@ func (o onlyService) Flush(id string) ([]pipeline.Detection, []infer.Candidate, 
 	return o.s.Flush(id)
 }
 func (o onlyService) Close(id string) error { return o.s.Close(id) }
+func (o onlyService) Touch(id string) error { return o.s.Touch(id) }
 func (o onlyService) EvictIdle() int        { return o.s.EvictIdle() }
 func (o onlyService) Snapshot() Stats       { return o.s.Snapshot() }
 func (o onlyService) MaxChunk() int         { return o.s.MaxChunk() }
 func (o onlyService) Shutdown()             { o.s.Shutdown() }
 
 // TestMetricszForeignService checks the documented fallback: a Service
-// that is not one of the package's managers still serves /statsz but
+// that neither is nor embeds a *ShardedManager still serves /statsz but
 // 404s /metricsz instead of exposing a half-built registry.
 func TestMetricszForeignService(t *testing.T) {
 	leak.Check(t)
-	mgr, err := NewManager(Config{MaxSessions: 2, Workers: 1, Prewarm: 1})
+	mgr, err := NewShardedManager(Config{MaxSessions: 2, Workers: 1, Prewarm: 1}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,25 +8,25 @@ import (
 	"sync/atomic"
 
 	"repro/internal/infer"
+	"repro/internal/metrics"
 	"repro/internal/metrics/expose"
 	"repro/internal/pipeline"
 	ewruntime "repro/internal/runtime"
 )
 
-// ShardedManager hash-partitions sessions by session ID across N
-// independent Manager shards. Each shard owns its own session table, job
-// queue, worker pool and EnginePool, so no mutex or channel is shared
-// between sessions on different shards — the single Manager's global
-// queue/lock disappears from every hot path. Backpressure and idle
-// eviction are per-shard: a hot shard 429s its own sessions while the
-// rest of the service keeps serving.
+// ShardedManager is the session service: it hash-partitions sessions by
+// session ID across N independent shards. Each shard owns its own
+// session table, job queue, worker pool and EnginePool, so no mutex or
+// channel is shared between sessions on different shards. Backpressure
+// and idle eviction are per-shard: a hot shard 429s its own sessions
+// while the rest of the service keeps serving. One shard is a plain
+// bounded manager with a single queue and worker pool.
 //
 // Session IDs are minted centrally from an atomic counter and routed by
 // FNV-1a hash, so any holder of an ID (HTTP handlers, load generators)
-// reaches the owning shard without a routing table. Sequential counter
-// values hash near-uniformly, which keeps shards balanced.
+// reaches the owning shard without a routing table.
 type ShardedManager struct {
-	shards []*Manager
+	shards shardSet
 	nextID atomic.Uint64
 }
 
@@ -52,8 +52,8 @@ func shardIndex(id string, n int) int {
 // NewShardedManager splits cfg's totals across shards and starts them.
 // shards <= 0 defaults to GOMAXPROCS. The config's MaxSessions, Workers,
 // QueueDepth and Prewarm are service-wide totals, divided per shard (at
-// least one each); under hash skew a single shard may therefore fill
-// slightly before the service-wide session total is reached.
+// least one each). With shards == 1 the service is a single bounded
+// manager with exactly cfg's queue, worker and session bounds.
 func NewShardedManager(cfg Config, shards int) (*ShardedManager, error) {
 	if shards <= 0 {
 		shards = stdruntime.GOMAXPROCS(0)
@@ -65,9 +65,9 @@ func NewShardedManager(cfg Config, shards int) (*ShardedManager, error) {
 	per.QueueDepth = max(1, cfg.QueueDepth/shards)
 	per.Prewarm = ceilDiv(cfg.Prewarm, shards)
 
-	sm := &ShardedManager{shards: make([]*Manager, shards)}
+	sm := &ShardedManager{shards: make(shardSet, shards)}
 	for i := range sm.shards {
-		m, err := NewManager(per)
+		m, err := newShard(per)
 		if err != nil {
 			for _, built := range sm.shards[:i] {
 				built.Shutdown()
@@ -81,48 +81,58 @@ func NewShardedManager(cfg Config, shards int) (*ShardedManager, error) {
 
 func ceilDiv(a, b int) int { return (a + b - 1) / b }
 
-func (sm *ShardedManager) shard(id string) *Manager {
+func (sm *ShardedManager) owner(id string) *shard {
 	return sm.shards[shardIndex(id, len(sm.shards))]
 }
 
+// mintsPerShard bounds how many IDs one Open may mint per shard while
+// it looks for a shard that is not yet known to be full.
+const mintsPerShard = 8
+
 // Open mints a fresh session ID and opens it on the shard the ID hashes
-// to. When that shard's table is full, a new ID is minted (which hashes
-// elsewhere) for up to NumShards attempts before giving up with the
-// shard's error — so one full shard does not refuse the whole service.
+// to. When that shard's table is full, Open keeps minting until an ID
+// hashes to a shard it has not tried yet, and fails with ErrSessionLimit
+// only once every shard has refused — so one full shard does not refuse
+// the whole service. Minting is bounded at mintsPerShard × NumShards IDs.
 func (sm *ShardedManager) Open() (string, error) {
-	var lastErr error
-	for attempt := 0; attempt < len(sm.shards); attempt++ {
+	full := make([]bool, len(sm.shards))
+	untried := len(sm.shards)
+	for mints := 0; untried > 0 && mints < mintsPerShard*len(sm.shards); mints++ {
 		id := fmt.Sprintf("s%08d", sm.nextID.Add(1))
-		err := sm.shard(id).OpenWithID(id)
-		if err == nil {
-			return id, nil
+		i := shardIndex(id, len(sm.shards))
+		if full[i] {
+			continue
 		}
-		lastErr = err
-		if !errors.Is(err, ErrSessionLimit) {
+		switch err := sm.shards[i].open(id); {
+		case err == nil:
+			return id, nil
+		case !errors.Is(err, ErrSessionLimit):
 			return "", err
 		}
+		full[i] = true
+		untried--
 	}
-	return "", lastErr
+	return "", ErrSessionLimit
 }
 
 // Feed routes one audio chunk to the owning shard.
 func (sm *ShardedManager) Feed(id string, chunk []float64) ([]pipeline.Detection, error) {
-	return sm.shard(id).Feed(id, chunk)
+	return sm.owner(id).Feed(id, chunk)
 }
 
 // Flush drains a session on its owning shard.
 func (sm *ShardedManager) Flush(id string) ([]pipeline.Detection, []infer.Candidate, error) {
-	return sm.shard(id).Flush(id)
+	return sm.owner(id).Flush(id)
 }
 
 // Close removes a session from its owning shard.
 func (sm *ShardedManager) Close(id string) error {
-	return sm.shard(id).Close(id)
+	return sm.owner(id).Close(id)
 }
 
 // Touch refreshes a session's idle clock on its owning shard.
 func (sm *ShardedManager) Touch(id string) error {
-	return sm.shard(id).Touch(id)
+	return sm.owner(id).Touch(id)
 }
 
 // EvictIdle sweeps every shard and returns the total evicted. Each shard
@@ -140,7 +150,7 @@ func (sm *ShardedManager) Shutdown() {
 	var wg sync.WaitGroup
 	for _, m := range sm.shards {
 		wg.Add(1)
-		go func(m *Manager) {
+		go func(m *shard) {
 			defer wg.Done()
 			m.Shutdown()
 		}(m)
@@ -148,91 +158,100 @@ func (sm *ShardedManager) Shutdown() {
 	wg.Wait()
 }
 
-// MaxChunk reports the per-feed sample cap (identical on every shard).
-func (sm *ShardedManager) MaxChunk() int { return sm.shards[0].MaxChunk() }
+// MaxChunk reports the per-feed sample cap admission control enforces
+// (identical on every shard; the HTTP front end derives its body limit
+// from it).
+func (sm *ShardedManager) MaxChunk() int {
+	if c := sm.shards[0].cfg.MaxChunk; c > 0 {
+		return c
+	}
+	return pipeline.DefaultMaxChunk
+}
+
+// serviceShards implements metricsSource. It stays a method of
+// *ShardedManager so a type that embeds one keeps /metricsz.
+func (sm *ShardedManager) serviceShards() shardSet { return sm.shards }
 
 // Snapshot aggregates every shard into one Stats view: counters and
-// occupancy sum, feed-latency quantiles merge over the pooled per-shard
-// samples (shards weighted by how much traffic each retained), stage
-// breakdowns merge before the per-stroke division, and Shards carries
-// the per-shard queue/backpressure/eviction detail. Per-shard quantiles
-// are never computed: each shard contributes raw samples and the merge
-// sorts the pool once, through the same summarizeFeedLatency choke
-// point that keeps empty-sample NaN out of the JSON.
+// occupancy sum, stage breakdowns merge before the per-stroke division,
+// the feed-latency quantiles are estimated from the merged per-shard
+// histograms, and Shards carries the per-shard detail.
 func (sm *ShardedManager) Snapshot() Stats {
-	var (
-		agg     Stats
-		stages  ewruntime.StageBreakdown
-		latency = make([][]float64, 0, len(sm.shards))
-	)
-	agg.Shards = sm.shardStats()
-	for i, m := range sm.shards {
-		sv := agg.Shards[i]
+	ss := sm.shards
+	agg := Stats{
+		Pool:          ss.pool(),
+		FeedLatencyMs: ss.feedLatency(),
+		PerStroke:     stageMillis(ss.stages()),
+		Shards:        ss.views(),
+	}
+	agg.MaxSessions, agg.Workers = ss.limits()
+	for _, sv := range agg.Shards {
 		agg.ActiveSessions += sv.ActiveSessions
-		agg.MaxSessions += m.cfg.MaxSessions
-		agg.Workers += m.cfg.Workers
 		agg.QueueLen += sv.QueueLen
 		agg.QueueCap += sv.QueueCap
-		p := m.pool.Stats()
-		agg.Pool.Created += p.Created
-		agg.Pool.Reused += p.Reused
-		agg.Pool.Free += p.Free
 		agg.Chunks += sv.Chunks
 		agg.Detections += sv.Detections
 		agg.Backpressure += sv.Backpressure
 		agg.FeedErrors += sv.FeedErrors
 		agg.Evictions += sv.Evictions
-		stages.Merge(m.stages.Snapshot())
-		latency = append(latency, m.latencySamples())
 	}
-	agg.FeedLatencyMs = summarizeFeedLatency(latency...)
-	agg.PerStroke = stageMillis(stages)
 	return agg
 }
 
-// shardStats implements metricsSource: every shard's counter view, in
-// shard-index order.
-func (sm *ShardedManager) shardStats() []ShardStats {
-	out := make([]ShardStats, len(sm.shards))
-	for i, m := range sm.shards {
+// shardSet is a service's fixed shard slice. Snapshot and the /metricsz
+// collectors both read through its methods, so every service-wide total
+// is summed in one place.
+type shardSet []*shard
+
+// views returns every shard's counter view, in shard-index order.
+func (ss shardSet) views() []ShardStats {
+	out := make([]ShardStats, len(ss))
+	for i, m := range ss {
 		out[i] = m.shardView()
 	}
 	return out
 }
 
-// feedLatencyHistograms implements metricsSource: one histogram per
-// shard, index-aligned with shardStats.
-func (sm *ShardedManager) feedLatencyHistograms() []*expose.Histogram {
-	out := make([]*expose.Histogram, len(sm.shards))
-	for i, m := range sm.shards {
-		out[i] = m.latHist
+// latencyViews snapshots every shard's feed-latency histogram,
+// index-aligned with views.
+func (ss shardSet) latencyViews() []expose.HistView {
+	out := make([]expose.HistView, len(ss))
+	for i, m := range ss {
+		out[i] = m.latHist.View()
 	}
 	return out
 }
 
-// stageTotals implements metricsSource: stage time merged over shards.
-func (sm *ShardedManager) stageTotals() ewruntime.StageBreakdown {
+// feedLatency estimates the p50/p95/p99 triple from the merged shard
+// histograms; every field is 0 before the first feed.
+func (ss shardSet) feedLatency() metrics.LatencySummary {
+	v := expose.MergeViews(ss.latencyViews()...)
+	return metrics.LatencySummary{P50: v.Quantile(0.50), P95: v.Quantile(0.95), P99: v.Quantile(0.99)}
+}
+
+// stages merges the cumulative stage time of every shard.
+func (ss shardSet) stages() ewruntime.StageBreakdown {
 	var b ewruntime.StageBreakdown
-	for _, m := range sm.shards {
+	for _, m := range ss {
 		b.Merge(m.stages.Snapshot())
 	}
 	return b
 }
 
-// limits implements metricsSource: service-wide bounds summed over the
-// per-shard splits (which is what admission control actually enforces).
-func (sm *ShardedManager) limits() (maxSessions, workers int) {
-	for _, m := range sm.shards {
+// limits sums the per-shard bounds, which is what admission control
+// actually enforces.
+func (ss shardSet) limits() (maxSessions, workers int) {
+	for _, m := range ss {
 		maxSessions += m.cfg.MaxSessions
 		workers += m.cfg.Workers
 	}
 	return maxSessions, workers
 }
 
-// poolStats implements metricsSource: pool occupancy summed over shards.
-func (sm *ShardedManager) poolStats() PoolStats {
+// pool sums engine-pool occupancy over shards.
+func (ss shardSet) pool() PoolStats {
 	var p PoolStats
-	for _, m := range sm.shards {
+	for _, m := range ss {
 		s := m.pool.Stats()
 		p.Created += s.Created
 		p.Reused += s.Reused

@@ -71,9 +71,9 @@ func TestStreamShardedEquivalentToSingleShard(t *testing.T) {
 	chunkOf := func(i int) int { return []int{2048, 4096, 8192, 3001}[i%4] }
 
 	// Single-shard reference, fed sequentially through the Go API.
-	single, err := serve.NewManager(serve.Config{
+	single, err := serve.NewShardedManager(serve.Config{
 		MaxSessions: sessions, Workers: 2, QueueDepth: 64, Prewarm: 2,
-	})
+	}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

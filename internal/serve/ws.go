@@ -88,14 +88,6 @@ type streamCommand struct {
 	Cmd string `json:"cmd"`
 }
 
-// sessionToucher refreshes a session's idle clock without submitting
-// work. *Manager and *ShardedManager implement it; the stream handler
-// uses it so a live connection counts as session activity for
-// EvictIdle, and to validate attach targets.
-type sessionToucher interface {
-	Touch(id string) error
-}
-
 // wsPushLatencyBuckets are the upper bounds (milliseconds) of the
 // push-latency histogram: octaves from 50 µs, so the healthy
 // enqueue-to-wire path (tens of microseconds) and a slow-client stall
@@ -188,14 +180,6 @@ func (p *wsPump) close() {
 	<-p.done
 }
 
-// touch refreshes a session's idle clock when the service supports it.
-func (s *Server) touch(id string) error {
-	if t, ok := s.mgr.(sessionToucher); ok {
-		return t.Touch(id)
-	}
-	return nil
-}
-
 // handleStream is GET /v1/stream: upgrade, resolve the session, then
 // pump events out while the read loop feeds chunks and commands in.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
@@ -218,7 +202,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		opened = true
-	} else if err := s.touch(id); err != nil {
+	} else if err := s.mgr.Touch(id); err != nil {
 		s.rejectStream(conn, err)
 		return
 	}
@@ -245,7 +229,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 			return // peer closed (CloseError), vanished, or misbehaved
 		}
 		s.ws.framesIn.Add(1)
-		_ = s.touch(id)
+		_ = s.mgr.Touch(id)
 		switch typ {
 		case ws.Binary:
 			seq++
@@ -307,7 +291,7 @@ func (s *Server) wsKeepaliveLoop(conn *ws.Conn, id string, stop <-chan struct{})
 		case <-t.C:
 			_ = conn.SetWriteDeadline(time.Now().Add(wsWriteTimeout))
 			_ = conn.WritePing(nil)
-			_ = s.touch(id)
+			_ = s.mgr.Touch(id)
 		case <-stop:
 			return
 		}
