@@ -79,11 +79,11 @@ bench-baseline:
 	$(BENCH_SMOKE) | $(GO) run ./cmd/ewbenchgate -update
 
 # The serving benchmark (perfbench/) is its own module, so the root
-# `go test ./...` never builds it; compile and self-test it here so a
-# program API change that breaks the benchmark fails CI, not the
-# benchmark run.
+# `go vet ./...` and `go test ./...` never see it; vet and self-test it
+# here so a program API change that breaks the benchmark fails CI, not
+# the benchmark run.
 bench-selftest:
-	cd perfbench && $(GO) test .
+	cd perfbench && $(GO) vet . && $(GO) test .
 
 # The long-running adversarial soak: the stress suite with its goroutine
 # and iteration counts multiplied (see internal/serve/stress).

@@ -27,7 +27,6 @@ func (Lockhold) Doc() string {
 
 func (Lockhold) Match(path string) bool {
 	return pathContains(path, "internal/serve") ||
-		pathContains(path, "internal/runtime") ||
 		isFixturePath(path, "lockhold")
 }
 

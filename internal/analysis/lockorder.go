@@ -37,7 +37,7 @@ type Lockorder struct{}
 
 func (Lockorder) Name() string { return "lockorder" }
 func (Lockorder) Doc() string {
-	return "global lock-acquisition-order cycles (deadlock risk) across serve/runtime/ws mutexes"
+	return "global lock-acquisition-order cycles (deadlock risk) across serve/ws mutexes"
 }
 
 // Match accepts every package: lock identity is global, and a cycle

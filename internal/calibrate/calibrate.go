@@ -14,6 +14,7 @@ import (
 	"fmt"
 
 	"repro/internal/acoustic"
+	"repro/internal/audio"
 	"repro/internal/geom"
 	"repro/internal/pipeline"
 	"repro/internal/segment"
@@ -49,12 +50,23 @@ const (
 // gesture, so it knows exactly when the stroke runs) with the same
 // low-speed trimming the live segmenter applies at stroke ends.
 func Templates(cfg pipeline.Config) ([stroke.NumStrokes][]float64, error) {
-	var out [stroke.NumStrokes][]float64
 	eng, err := pipeline.NewEngine(cfg)
 	if err != nil {
-		return out, err
+		return [stroke.NumStrokes][]float64{}, err
 	}
-	dev := referenceDevice(cfg)
+	return TemplatesThrough(cfg, eng, nil)
+}
+
+// TemplatesThrough is the synthesis loop behind Templates for engines
+// that do not consume the reference device's audio directly. Each
+// canonical stroke is rendered by the reference device for ref (a
+// full-rate configuration), passed through front when it is non-nil (a
+// decimating front-end, say), and recognized by eng; the template span
+// uses eng's frame rate and end-speed floor.
+func TemplatesThrough(ref pipeline.Config, eng *pipeline.Engine, front func(*audio.Signal) (*audio.Signal, error)) ([stroke.NumStrokes][]float64, error) {
+	var out [stroke.NumStrokes][]float64
+	dev := referenceDevice(ref)
+	cfg := eng.Config()
 	frameRate := cfg.FrameRate()
 	floor := cfg.Segment.EndSpeedFloor
 	if floor <= 0 {
@@ -89,6 +101,11 @@ func Templates(cfg pipeline.Config) ([stroke.NumStrokes][]float64, error) {
 		sig, err := scene.Synthesize()
 		if err != nil {
 			return out, fmt.Errorf("calibrate: synthesizing %v: %w", st, err)
+		}
+		if front != nil {
+			if sig, err = front(sig); err != nil {
+				return out, fmt.Errorf("calibrate: front-end %v: %w", st, err)
+			}
 		}
 		rec, err := eng.Recognize(sig)
 		if err != nil {

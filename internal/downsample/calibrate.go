@@ -1,13 +1,8 @@
 package downsample
 
 import (
-	"fmt"
-
-	"repro/internal/acoustic"
-	"repro/internal/geom"
+	"repro/internal/calibrate"
 	"repro/internal/pipeline"
-	"repro/internal/segment"
-	"repro/internal/stroke"
 )
 
 // CalibratedEngine builds an engine on the derived configuration with
@@ -20,108 +15,12 @@ func (f *Frontend) CalibratedEngine() (*pipeline.Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	dev := acoustic.DeviceProfile{
-		Name:           "reference",
-		SampleRate:     f.base.STFT.SampleRate,
-		CarrierHz:      f.base.PhysicalCarrier(),
-		TxAmplitude:    0.9,
-		DirectPathGain: 0.30,
-		ReflectionGain: 1.0,
-	}
-	const (
-		leadDur = 0.40
-		tailDur = 0.45
-	)
-	frameRate := f.cfg.FrameRate()
-	floor := f.cfg.Segment.EndSpeedFloor
-	if floor <= 0 {
-		floor = 16
-	}
-	var lib [stroke.NumStrokes][]float64
-	for _, st := range stroke.AllStrokes() {
-		tr, err := stroke.Shape(st, stroke.ShapeParams{})
-		if err != nil {
-			return nil, fmt.Errorf("downsample: %w", err)
-		}
-		start, err := stroke.StartPoint(st, stroke.ShapeParams{})
-		if err != nil {
-			return nil, fmt.Errorf("downsample: %w", err)
-		}
-		end, err := stroke.EndPoint(st, stroke.ShapeParams{})
-		if err != nil {
-			return nil, fmt.Errorf("downsample: %w", err)
-		}
-		finger, err := geom.NewCompositeTrajectory(
-			&geom.StaticTrajectory{Pos: start, Dur: leadDur},
-			tr,
-			&geom.StaticTrajectory{Pos: end, Dur: tailDur},
-		)
-		if err != nil {
-			return nil, fmt.Errorf("downsample: %w", err)
-		}
-		scene := &acoustic.Scene{
-			Device:     dev,
-			Reflectors: acoustic.HandReflectors(finger),
-			Duration:   finger.Duration(),
-			Seed:       1,
-		}
-		full, err := scene.Synthesize()
-		if err != nil {
-			return nil, fmt.Errorf("downsample: synthesizing %v: %w", st, err)
-		}
-		low, err := f.Process(full)
-		if err != nil {
-			return nil, err
-		}
-		rec, err := eng.Recognize(low)
-		if err != nil {
-			return nil, fmt.Errorf("downsample: recognizing %v: %w", st, err)
-		}
-		lo := int(leadDur*frameRate) - 9
-		hi := int((leadDur+tr.Duration())*frameRate) + 9
-		if lo < 0 {
-			lo = 0
-		}
-		if hi > len(rec.Profile)-1 {
-			hi = len(rec.Profile) - 1
-		}
-		slice, err := segment.Slice(rec.Profile, segment.Segment{Start: lo, End: hi})
-		if err != nil {
-			return nil, fmt.Errorf("downsample: %w", err)
-		}
-		tpl := trimQuiet(slice, floor)
-		if len(tpl) < 4 {
-			return nil, fmt.Errorf("downsample: canonical %v yielded a %d-frame template", st, len(tpl))
-		}
-		lib[st.Index()] = tpl
+	lib, err := calibrate.TemplatesThrough(f.base, eng, f.Process)
+	if err != nil {
+		return nil, err
 	}
 	if err := eng.SetTemplateLibrary(lib); err != nil {
 		return nil, err
 	}
 	return eng, nil
-}
-
-// trimQuiet mirrors calibrate.trimQuiet: strip sub-floor edges keeping one
-// guard frame on each side.
-func trimQuiet(p []float64, floor float64) []float64 {
-	abs := func(x float64) float64 {
-		if x < 0 {
-			return -x
-		}
-		return x
-	}
-	lo, hi := 0, len(p)-1
-	for lo < hi && abs(p[lo]) < floor {
-		lo++
-	}
-	for hi > lo && abs(p[hi]) < floor {
-		hi--
-	}
-	if lo > 0 {
-		lo--
-	}
-	if hi < len(p)-1 {
-		hi++
-	}
-	return append([]float64(nil), p[lo:hi+1]...)
 }

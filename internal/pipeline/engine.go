@@ -153,7 +153,8 @@ func (e *Engine) Config() Config { return e.cfg }
 // Templates exposes the analytic template set (read-only).
 func (e *Engine) Templates() *stroke.TemplateSet { return e.templates }
 
-// Recognize runs the full chain over a recorded signal.
+// Recognize runs the full chain over a recorded signal: the STFT, then
+// the same analyze and classify steps a Stream runs over its window.
 func (e *Engine) Recognize(sig *audio.Signal) (*Recognition, error) {
 	if sig.Rate != e.cfg.STFT.SampleRate {
 		return nil, fmt.Errorf("pipeline: signal rate %g does not match config rate %g",
@@ -174,89 +175,107 @@ func (e *Engine) Recognize(sig *audio.Signal) (*Recognition, error) {
 	if rec.Stages != nil {
 		rec.Stages.Raw = spec.Clone()
 	}
-
-	// Stage 2: Doppler enhancement.
-	t0 = time.Now()
-	binary, denoised, burstFrames, err := e.enhance(spec.Data)
-	if err != nil {
-		return nil, fmt.Errorf("pipeline: enhancement: %w", err)
+	if len(spec.Data) < e.cfg.StaticFrames {
+		return nil, fmt.Errorf("pipeline: enhancement: spectrogram has %d frames, need at least %d static frames",
+			len(spec.Data), e.cfg.StaticFrames)
 	}
-	rec.BurstFrames = burstFrames
-	rec.Timings.Enhancement = time.Since(t0)
+
+	// Stages 2–4: enhancement, contour extraction, segmentation.
+	a, err := e.analyze(spec.Data, staticTemplate(spec.Data[:e.cfg.StaticFrames]), &rec.Timings)
+	if err != nil {
+		return nil, fmt.Errorf("pipeline: %w", err)
+	}
+	rec.Profile, rec.Segments, rec.BurstFrames = a.profile, a.segs, a.bursts
 	if rec.Stages != nil {
-		rec.Stages.Denoised = denoised
-		rec.Stages.Binary = binary
+		rec.Stages.Denoised = a.denoised
+		rec.Stages.Binary = a.bin
+		rec.Stages.RawProfile = a.rawProfile
 	}
-
-	// Stage 3: contour extraction.
-	t0 = time.Now()
-	profile, rawProfile, err := e.extractProfile(binary)
-	if err != nil {
-		return nil, fmt.Errorf("pipeline: profile: %w", err)
-	}
-	rec.Timings.Profile = time.Since(t0)
-	rec.Profile = profile
-	if rec.Stages != nil {
-		rec.Stages.RawProfile = rawProfile
-	}
-
-	// Stage 4: segmentation.
-	t0 = time.Now()
-	segs, err := segment.Detect(profile, e.cfg.Segment)
-	if err != nil {
-		return nil, fmt.Errorf("pipeline: segmentation: %w", err)
-	}
-	rec.Timings.Segmentation = time.Since(t0)
-	rec.Segments = segs
 
 	// Stage 5: DTW classification.
-	t0 = time.Now()
-	for _, sg := range segs {
-		slice, err := segment.Slice(profile, sg)
+	for _, sg := range a.segs {
+		det, err := e.classifySegment(a.profile, a.bursts, sg, &rec.Timings)
 		if err != nil {
 			return nil, fmt.Errorf("pipeline: %w", err)
 		}
-		det, err := e.ClassifyProfile(slice)
-		if err != nil {
-			return nil, fmt.Errorf("pipeline: classify segment [%d,%d]: %w", sg.Start, sg.End, err)
-		}
-		det.Segment = sg
-		det.Contaminated = overlapsBurst(sg, rec.BurstFrames)
 		rec.Detections = append(rec.Detections, det)
 		rec.Sequence = append(rec.Sequence, det.Stroke)
 	}
-	rec.Timings.DTW = time.Since(t0)
 	return rec, nil
 }
 
-// enhance applies the paper's cleaning chain to the raw magnitude matrix,
-// returning the binary image and (when stages are kept) the pre-binarize
-// denoised matrix. The static-background template is the mean of the
-// initial StaticFrames frames.
-func (e *Engine) enhance(raw [][]float64) ([][]uint8, [][]float64, []int, error) {
-	if len(raw) < e.cfg.StaticFrames {
-		return nil, nil, nil, fmt.Errorf("spectrogram has %d frames, need at least %d static frames",
-			len(raw), e.cfg.StaticFrames)
-	}
-	cols := len(raw[0])
-	static := make([]float64, cols)
-	for f := 0; f < e.cfg.StaticFrames; f++ {
-		for b, v := range raw[f] {
+// staticTemplate is the spectral-subtraction background: the per-bin
+// mean of the leading columns (the paper's initial StaticFrames frames).
+func staticTemplate(cols [][]float64) []float64 {
+	static := make([]float64, len(cols[0]))
+	for _, c := range cols {
+		for b, v := range c {
 			static[b] += v
 		}
 	}
 	for b := range static {
-		static[b] /= float64(e.cfg.StaticFrames)
+		static[b] /= float64(len(cols))
 	}
-	return e.enhanceStages(raw, static)
+	return static
 }
 
-// enhanceColumns is the streaming entry point: the static template is
-// supplied by the caller (estimated once at stream start). The input is
-// not mutated.
-func (e *Engine) enhanceColumns(raw [][]float64, static []float64) ([][]uint8, []int, error) {
-	bin, _, bursts, err := e.enhanceStages(raw, static)
-	return bin, bursts, err
+// analysis is one post-STFT pass over a spectrogram window. denoised and
+// rawProfile are filled only when the engine keeps stages.
+type analysis struct {
+	bin        [][]uint8
+	denoised   [][]float64
+	bursts     []int
+	profile    []float64
+	rawProfile []float64
+	segs       []segment.Segment
+}
+
+// analyze runs the post-STFT chain over raw magnitude columns —
+// enhancement against the static template, the contour extractor
+// Config.Contour selects, then segmentation — adding each stage's wall
+// time to t. Recognize runs it once per recording and Stream once per
+// feed over its window. raw is not mutated.
+func (e *Engine) analyze(raw [][]float64, static []float64, t *StageTimings) (analysis, error) {
+	var a analysis
+	var err error
+	t0 := time.Now()
+	a.bin, a.denoised, a.bursts, err = e.enhanceStages(raw, static)
+	t.Enhancement += time.Since(t0)
+	if err != nil {
+		return a, fmt.Errorf("enhancement: %w", err)
+	}
+	t0 = time.Now()
+	a.profile, a.rawProfile, err = e.extractProfile(a.bin)
+	t.Profile += time.Since(t0)
+	if err != nil {
+		return a, fmt.Errorf("profile: %w", err)
+	}
+	t0 = time.Now()
+	a.segs, err = segment.Detect(a.profile, e.cfg.Segment)
+	t.Segmentation += time.Since(t0)
+	if err != nil {
+		return a, fmt.Errorf("segmentation: %w", err)
+	}
+	return a, nil
+}
+
+// classifySegment matches one segment of profile against the templates,
+// flags it when it overlaps a burst frame, and adds the time to t.DTW.
+// The detection's Segment is sg, relative to profile.
+func (e *Engine) classifySegment(profile []float64, bursts []int, sg segment.Segment, t *StageTimings) (Detection, error) {
+	slice, err := segment.Slice(profile, sg)
+	if err != nil {
+		return Detection{}, err
+	}
+	t0 := time.Now()
+	det, err := e.ClassifyProfile(slice)
+	t.DTW += time.Since(t0)
+	if err != nil {
+		return det, fmt.Errorf("classify segment [%d,%d]: %w", sg.Start, sg.End, err)
+	}
+	det.Segment = sg
+	det.Contaminated = overlapsBurst(sg, bursts)
+	return det, nil
 }
 
 // enhanceStages runs median filter → spectral subtraction → energy gate →

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/mvce"
 	"repro/internal/segment"
 )
 
@@ -37,12 +36,6 @@ type Stream struct {
 	// MaxWindow bounds the retained spectrogram columns; 0 means 1024
 	// frames (≈24 s at the paper's hop).
 	MaxWindow int
-	// AdaptiveStatic slowly refreshes the spectral-subtraction template
-	// during quiet frames, so a hand that comes to rest in a new spot
-	// (changing the static echo field) stops biasing later profiles. The
-	// paper's prototype re-estimates per stroke; this is the streaming
-	// equivalent. Off by default (the paper's fixed initial template).
-	AdaptiveStatic bool
 	// MaxChunk caps how many samples a single Feed call may leave
 	// buffered; 0 means DefaultMaxChunk. Oversized calls fail with
 	// ErrOversizedChunk instead of growing memory without bound.
@@ -58,8 +51,7 @@ type Stream struct {
 	samples     []float64   // residue not yet consumed into frames
 	columns     [][]float64 // raw magnitude columns in the window
 	frameOffset int         // absolute index of columns[0]
-	static      []float64   // spectral-subtraction template
-	staticAccum [][]float64 // first frames accumulated for the template
+	static      []float64   // spectral-subtraction template, set by the first analyze
 	emittedEnd  int         // absolute frame index before which detections were emitted
 	timings     StageTimings
 }
@@ -87,15 +79,14 @@ func (s *Stream) Timings() StageTimings { return s.timings }
 // Reset clears all per-recording state — buffered samples, spectrogram
 // window, the static-background template, and emission bookkeeping — so
 // the stream (and its engine's FFT machinery) can be reused for a new
-// recording without reallocation. Tuning fields (MaxWindow,
-// AdaptiveStatic, MaxChunk) are preserved. A reset stream behaves
-// identically to a freshly constructed one.
+// recording without reallocation. Tuning fields (MaxWindow, MaxChunk)
+// are preserved. A reset stream behaves identically to a freshly
+// constructed one.
 func (s *Stream) Reset() {
 	s.samples = s.samples[:0]
 	s.columns = s.columns[:0]
 	s.frameOffset = 0
 	s.static = nil
-	s.staticAccum = nil
 	s.emittedEnd = 0
 	s.timings = StageTimings{}
 }
@@ -169,22 +160,6 @@ func (s *Stream) Flush() ([]Detection, error) {
 }
 
 func (s *Stream) pushColumn(col []float64) {
-	// Accumulate the static template from the first frames.
-	if s.static == nil {
-		s.staticAccum = append(s.staticAccum, col)
-		if len(s.staticAccum) == s.eng.cfg.StaticFrames {
-			s.static = make([]float64, len(col))
-			for _, c := range s.staticAccum {
-				for b, v := range c {
-					s.static[b] += v
-				}
-			}
-			for b := range s.static {
-				s.static[b] /= float64(len(s.staticAccum))
-			}
-			s.staticAccum = nil
-		}
-	}
 	s.columns = append(s.columns, col)
 	maxW := s.MaxWindow
 	if maxW == 0 {
@@ -208,38 +183,25 @@ func (s *Stream) pushColumn(col []float64) {
 // before it is considered final (the quiet run plus smear).
 const emitSafety = 14
 
-// process runs the enhancement chain over the current window and emits
-// newly finalized detections. When final is true, open segments are
+// process runs the engine's analyze pass over the current window and
+// emits newly finalized detections. When final is true, open segments are
 // emitted regardless of the safety margin.
 func (s *Stream) process(final bool) ([]Detection, error) {
-	if s.static == nil || len(s.columns) < s.eng.cfg.StaticFrames+4 {
+	if len(s.columns) < s.eng.cfg.StaticFrames+4 {
 		return nil, nil
 	}
-	// Enhancement over the window with the stream's static template.
-	t0 := time.Now()
-	bin, bursts, err := s.eng.enhanceColumns(s.columns, s.static)
-	if err != nil {
-		return nil, fmt.Errorf("pipeline: stream enhance: %w", err)
+	if s.static == nil {
+		// Compaction never drops a column before the first emission, so
+		// the window still starts at frame 0 here.
+		s.static = staticTemplate(s.columns[:s.eng.cfg.StaticFrames])
 	}
-	s.timings.Enhancement += time.Since(t0)
-	t0 = time.Now()
-	profile, err := mvce.Extract(bin, s.eng.cfg.mvceConfig())
+	a, err := s.eng.analyze(s.columns, s.static, &s.timings)
 	if err != nil {
-		return nil, fmt.Errorf("pipeline: stream contour: %w", err)
-	}
-	s.timings.Profile += time.Since(t0)
-	t0 = time.Now()
-	segs, err := segment.Detect(profile, s.eng.cfg.Segment)
-	if err != nil {
-		return nil, fmt.Errorf("pipeline: stream segment: %w", err)
-	}
-	s.timings.Segmentation += time.Since(t0)
-	if s.AdaptiveStatic {
-		s.adaptStatic(bin)
+		return nil, fmt.Errorf("pipeline: stream: %w", err)
 	}
 	var out []Detection
-	head := len(profile)
-	for _, sg := range segs {
+	head := len(a.profile)
+	for _, sg := range a.segs {
 		absStart := sg.Start + s.frameOffset
 		absEnd := sg.End + s.frameOffset
 		if absStart < s.emittedEnd {
@@ -248,48 +210,15 @@ func (s *Stream) process(final bool) ([]Detection, error) {
 		if !final && sg.End > head-emitSafety {
 			break // may still be growing
 		}
-		slice, err := segment.Slice(profile, sg)
+		det, err := s.eng.classifySegment(a.profile, a.bursts, sg, &s.timings)
 		if err != nil {
-			return nil, err
-		}
-		t0 = time.Now()
-		det, err := s.eng.ClassifyProfile(slice)
-		s.timings.DTW += time.Since(t0)
-		if err != nil {
-			return nil, fmt.Errorf("pipeline: stream classify: %w", err)
+			return nil, fmt.Errorf("pipeline: stream: %w", err)
 		}
 		det.Segment = segment.Segment{Start: absStart, End: absEnd}
-		det.Contaminated = overlapsBurst(sg, bursts)
 		// ew:allow hotprop: one append per classified stroke per flush —
 		// detections are user-scale events, not per-column work.
 		out = append(out, det)
 		s.emittedEnd = absEnd + 1
 	}
 	return out, nil
-}
-
-// staticAdaptRate is the per-quiet-frame EMA coefficient for adaptive
-// template refresh; ~60 quiet frames (1.4 s) absorb a static change.
-const staticAdaptRate = 0.03
-
-// adaptStatic folds the most recent quiet (no-foreground) frames of the
-// window into the subtraction template with a slow exponential moving
-// average. Only trailing quiet frames are used so a stroke in progress
-// never leaks into the template.
-func (s *Stream) adaptStatic(bin [][]uint8) {
-	for i := len(bin) - 1; i >= 0 && i >= len(bin)-4; i-- {
-		active := 0
-		for _, v := range bin[i] {
-			if v == 1 {
-				active++
-			}
-		}
-		if active > 0 {
-			return
-		}
-		raw := s.columns[i]
-		for b := range s.static {
-			s.static[b] = (1-staticAdaptRate)*s.static[b] + staticAdaptRate*raw[b]
-		}
-	}
 }

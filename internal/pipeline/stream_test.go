@@ -2,14 +2,12 @@ package pipeline
 
 import (
 	"errors"
-	"math"
 	"testing"
 	"time"
 
 	"repro/internal/acoustic"
 	"repro/internal/audio"
 	"repro/internal/geom"
-	"repro/internal/mvce"
 	"repro/internal/stroke"
 )
 
@@ -17,6 +15,12 @@ import (
 // rests and gentle repositions between strokes. testing.TB so the fuzz
 // harness can seed its corpus with the same audio.
 func synthesizeSequence(t testing.TB, seq stroke.Sequence) *audio.Signal {
+	t.Helper()
+	return synthesizeSequenceIn(t, seq, acoustic.MeetingRoom)
+}
+
+// synthesizeSequenceIn is synthesizeSequence in the given environment.
+func synthesizeSequenceIn(t testing.TB, seq stroke.Sequence, env acoustic.EnvironmentKind) *audio.Signal {
 	t.Helper()
 	var parts []geom.Trajectory
 	prev, err := stroke.StartPoint(seq[0], stroke.ShapeParams{})
@@ -56,7 +60,7 @@ func synthesizeSequence(t testing.TB, seq stroke.Sequence) *audio.Signal {
 	}
 	sc := &acoustic.Scene{
 		Device:     acoustic.Mate9(),
-		Env:        acoustic.StandardEnvironment(acoustic.MeetingRoom),
+		Env:        acoustic.StandardEnvironment(env),
 		Reflectors: acoustic.HandReflectors(finger),
 		Duration:   finger.Duration(),
 		Seed:       9,
@@ -68,51 +72,85 @@ func synthesizeSequence(t testing.TB, seq stroke.Sequence) *audio.Signal {
 	return sig
 }
 
+// TestStreamMatchesBatch pins that the stream and the batch pipeline run
+// the same chain, for every contour extractor Config.Contour selects. A
+// second writer puts Doppler energy on both sides of the carrier, where
+// the MVCE and max-bin contours disagree.
 func TestStreamMatchesBatch(t *testing.T) {
-	eng, err := NewEngine(DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
 	seq := stroke.Sequence{stroke.S2, stroke.S3, stroke.S1}
-	sig := synthesizeSequence(t, seq)
+	sig := synthesizeSequenceIn(t, seq, acoustic.SecondWriter)
+	for _, c := range []struct {
+		name    string
+		contour ContourMethod
+	}{
+		{"mvce", ContourMVCE},
+		{"maxbin", ContourMaxBin},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.Contour = c.contour
+			eng, err := NewEngine(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	// Batch reference.
-	batch, err := eng.Recognize(sig)
-	if err != nil {
-		t.Fatal(err)
-	}
+			// Batch reference.
+			batch, err := eng.Recognize(sig)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(batch.Detections) == 0 {
+				t.Fatal("batch found no strokes; test premise broken")
+			}
 
-	// Stream the same audio in awkward chunk sizes.
-	stream := NewStream(eng)
-	var got []Detection
-	for start := 0; start < len(sig.Samples); start += 3001 {
-		end := start + 3001
-		if end > len(sig.Samples) {
-			end = len(sig.Samples)
-		}
-		dets, err := stream.Feed(sig.Samples[start:end])
-		if err != nil {
-			t.Fatal(err)
-		}
-		got = append(got, dets...)
-	}
-	tail, err := stream.Flush()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got = append(got, tail...)
+			// Stream the same audio in awkward chunk sizes.
+			stream := NewStream(eng)
+			var got []Detection
+			for start := 0; start < len(sig.Samples); start += 3001 {
+				end := min(start+3001, len(sig.Samples))
+				dets, err := stream.Feed(sig.Samples[start:end])
+				if err != nil {
+					t.Fatal(err)
+				}
+				got = append(got, dets...)
+			}
+			tail, err := stream.Flush()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = append(got, tail...)
 
-	if len(got) != len(batch.Detections) {
-		t.Fatalf("stream emitted %d detections, batch %d", len(got), len(batch.Detections))
-	}
-	for i, d := range got {
-		if d.Stroke != batch.Detections[i].Stroke {
-			t.Errorf("detection %d: stream %v, batch %v", i, d.Stroke, batch.Detections[i].Stroke)
-		}
-		// Absolute frame indices should agree within the smear margin.
-		if diff := d.Segment.Start - batch.Detections[i].Segment.Start; diff < -4 || diff > 4 {
-			t.Errorf("detection %d start %d vs batch %d", i, d.Segment.Start, batch.Detections[i].Segment.Start)
-		}
+			if len(got) != len(batch.Detections) {
+				t.Fatalf("stream emitted %d detections, batch %d", len(got), len(batch.Detections))
+			}
+			for i, d := range got {
+				want := batch.Detections[i]
+				if d.Stroke != want.Stroke {
+					t.Errorf("detection %d: stream %v, batch %v", i, d.Stroke, want.Stroke)
+				}
+				// Absolute frame indices should agree within the smear margin.
+				if diff := d.Segment.Start - want.Segment.Start; diff < -4 || diff > 4 {
+					t.Errorf("detection %d start %d vs batch %d", i, d.Segment.Start, want.Segment.Start)
+				}
+			}
+
+			// Fed in one chunk, the stream's first analyze sees exactly the
+			// batch spectrogram, so what it emits must equal the batch
+			// detections bit for bit — contour included.
+			stream.Reset()
+			whole, err := stream.Feed(sig.Samples)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(whole) == 0 {
+				t.Fatal("one-chunk feed emitted nothing; test premise broken")
+			}
+			for i, d := range whole {
+				if d != batch.Detections[i] {
+					t.Errorf("one-chunk detection %d = %+v, batch %+v", i, d, batch.Detections[i])
+				}
+			}
+		})
 	}
 }
 
@@ -224,116 +262,6 @@ func TestStreamSilenceEmitsNothing(t *testing.T) {
 	if len(dets)+len(tail) != 0 {
 		t.Errorf("silence produced %d detections", len(dets)+len(tail))
 	}
-}
-
-func TestStreamAdaptiveStatic(t *testing.T) {
-	// After the hand comes to rest in a NEW position (a static echo the
-	// initial template has never seen), the fixed-template stream keeps a
-	// residual foreground there forever; the adaptive stream absorbs it.
-	eng, err := NewEngine(DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Scene: rest at A (template learned) → stroke → long rest at B.
-	start, err := stroke.StartPoint(stroke.S2, stroke.ShapeParams{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	end, err := stroke.EndPoint(stroke.S2, stroke.ShapeParams{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := stroke.Shape(stroke.S2, stroke.ShapeParams{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	finger, err := geom.NewCompositeTrajectory(
-		&geom.StaticTrajectory{Pos: start, Dur: 0.4},
-		tr,
-		&geom.StaticTrajectory{Pos: end, Dur: 6.0}, // long rest at B
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc := &acoustic.Scene{
-		Device:     acoustic.Mate9(),
-		Env:        acoustic.StandardEnvironment(acoustic.MeetingRoom),
-		Reflectors: acoustic.HandReflectors(finger),
-		Duration:   finger.Duration(),
-		Seed:       5,
-	}
-	sig, err := sc.Synthesize()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	tailBias := func(adaptive bool) float64 {
-		stream := NewStream(eng)
-		stream.AdaptiveStatic = adaptive
-		for off := 0; off < len(sig.Samples); off += 4410 {
-			endIdx := min(off+4410, len(sig.Samples))
-			if _, err := stream.Feed(sig.Samples[off:endIdx]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		// Inspect the final window's profile tail directly.
-		bin, _, err := eng.enhanceColumns(stream.columns, stream.static)
-		if err != nil {
-			t.Fatal(err)
-		}
-		profile, err := mvceExtractForTest(eng, bin)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Mean |shift| over the last 40 frames (pure rest at B).
-		sum := 0.0
-		n := 0
-		for i := len(profile) - 40; i < len(profile); i++ {
-			if i >= 0 {
-				sum += math.Abs(profile[i])
-				n++
-			}
-		}
-		return sum / float64(n)
-	}
-
-	fixed := tailBias(false)
-	adaptive := tailBias(true)
-	t.Logf("rest-at-B residual: fixed %.1f Hz, adaptive %.1f Hz", fixed, adaptive)
-	if adaptive > fixed {
-		t.Errorf("adaptive template did not reduce residual: %.1f vs %.1f", adaptive, fixed)
-	}
-	if adaptive > 6 {
-		t.Errorf("adaptive residual %.1f Hz still large", adaptive)
-	}
-
-	// The adaptive template must actually have moved away from the
-	// initial one (the hand's static echo changed from A to B).
-	mkStatic := func(adapt bool) []float64 {
-		stream := NewStream(eng)
-		stream.AdaptiveStatic = adapt
-		for off := 0; off < len(sig.Samples); off += 4410 {
-			endIdx := min(off+4410, len(sig.Samples))
-			if _, err := stream.Feed(sig.Samples[off:endIdx]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return append([]float64(nil), stream.static...)
-	}
-	fixedTpl := mkStatic(false)
-	adaptTpl := mkStatic(true)
-	diff := 0.0
-	for b := range fixedTpl {
-		diff += math.Abs(fixedTpl[b] - adaptTpl[b])
-	}
-	if diff == 0 {
-		t.Error("adaptive template never updated")
-	}
-}
-
-// mvceExtractForTest exposes contour extraction on a binary window.
-func mvceExtractForTest(eng *Engine, bin [][]uint8) ([]float64, error) {
-	return mvce.Extract(bin, eng.cfg.mvceConfig())
 }
 
 func TestStreamResetMatchesFresh(t *testing.T) {

@@ -12,7 +12,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/metrics/expose"
 	"repro/internal/pipeline"
-	ewruntime "repro/internal/runtime"
 	"repro/internal/stroke"
 )
 
@@ -133,7 +132,7 @@ type shard struct {
 	rejected   atomic.Uint64
 	evictions  atomic.Uint64
 	feedErrors atomic.Uint64
-	stages     ewruntime.SharedBreakdown
+	stages     stageClock
 
 	// latHist is the shard's only feed-latency store: /metricsz renders
 	// it and /statsz estimates its quantiles from it. Internally atomic,
@@ -150,12 +149,7 @@ type session struct {
 	mu     sync.Mutex
 	stream *pipeline.Stream // guarded by mu
 	seq    stroke.Sequence  // guarded by mu
-	// pendingStages accumulates stream stage-time deltas since the last
-	// emitted stroke, so the shared breakdown attributes quiet-feed cost
-	// to the strokes it ultimately produced.
-	pendingStages pipeline.StageTimings // guarded by mu
-	lastStages    pipeline.StageTimings // guarded by mu
-	closed        bool                  // guarded by mu
+	closed bool             // guarded by mu
 
 	lastActive atomic.Int64 // unix nanoseconds
 }
@@ -422,6 +416,7 @@ func (m *shard) runJob(j *job) {
 		return
 	}
 	start := time.Now()
+	before := sess.stream.Timings()
 	var (
 		dets []pipeline.Detection
 		err  error
@@ -435,15 +430,13 @@ func (m *shard) runJob(j *job) {
 		// ew:allow lockhold: same per-session serialization as Flush.
 		dets, err = sess.stream.Feed(j.chunk)
 	}
-	// Latency and stage deltas are recorded on the error branch too: a
-	// failed feed has already spent real pipeline time (the stream
-	// accrues its hop-loop cost on every exit), and hiding it made error
-	// storms look free on /metricsz while their cost bled into the next
-	// successful feed's attribution. Successful-chunk and detection
-	// counters stay success-only; errors land in feedErrors
-	// (echowrite_feed_errors_total).
+	// Latency and stage time are recorded for every job, failed ones
+	// included: a failed feed has already spent real pipeline time (the
+	// stream accrues its hop-loop cost on every exit). Successful-chunk
+	// and detection counters stay success-only; errors land in
+	// feedErrors (echowrite_feed_errors_total).
 	m.recordLatency(time.Since(start))
-	m.accountStages(sess, len(dets))
+	m.stages.add(before, sess.stream.Timings())
 	if err == nil {
 		m.chunks.Add(1)
 		for _, d := range dets {
@@ -461,33 +454,38 @@ func (m *shard) runJob(j *job) {
 	j.reply <- jobResult{dets: dets, err: err}
 }
 
-// accountStages folds the stream's stage-time delta since the previous
-// job into the session's pending bucket, and flushes the bucket into the
-// shared breakdown whenever strokes completed — so per-stroke stage
-// means include the quiet feeds that led up to each stroke.
-//
-// ew:holds sess.mu — only runJob calls this, with the session locked.
-func (m *shard) accountStages(sess *session, strokes int) {
-	t := sess.stream.Timings()
-	last := sess.lastStages
-	sess.lastStages = t
-	sess.pendingStages.STFT += t.STFT - last.STFT
-	sess.pendingStages.Enhancement += t.Enhancement - last.Enhancement
-	sess.pendingStages.Profile += t.Profile - last.Profile
-	sess.pendingStages.Segmentation += t.Segmentation - last.Segmentation
-	sess.pendingStages.DTW += t.DTW - last.DTW
-	if strokes > 0 {
-		m.stages.Add(sess.pendingStages, strokes)
-		sess.pendingStages = pipeline.StageTimings{}
-	}
+// stageClock is a shard's lock-free stage-time store: the cumulative
+// pipeline time, per stage, of every job its workers ran — quiet feeds,
+// failed feeds and flushes included.
+type stageClock struct {
+	stft, enhancement, profile, segmentation, dtw atomic.Int64 // nanoseconds
+}
+
+// add records the stage time a stream spent between two Timings reads.
+func (c *stageClock) add(before, after pipeline.StageTimings) {
+	c.stft.Add(int64(after.STFT - before.STFT))
+	c.enhancement.Add(int64(after.Enhancement - before.Enhancement))
+	c.profile.Add(int64(after.Profile - before.Profile))
+	c.segmentation.Add(int64(after.Segmentation - before.Segmentation))
+	c.dtw.Add(int64(after.DTW - before.DTW))
+}
+
+// addTo adds the cumulative totals into t.
+func (c *stageClock) addTo(t *pipeline.StageTimings) {
+	t.STFT += time.Duration(c.stft.Load())
+	t.Enhancement += time.Duration(c.enhancement.Load())
+	t.Profile += time.Duration(c.profile.Load())
+	t.Segmentation += time.Duration(c.segmentation.Load())
+	t.DTW += time.Duration(c.dtw.Load())
 }
 
 func (m *shard) recordLatency(d time.Duration) {
 	m.latHist.Observe(float64(d) / float64(time.Millisecond))
 }
 
-// StageMillis is the per-stroke stage cost view exposed by Snapshot,
-// in milliseconds.
+// StageMillis is the per-stroke stage cost view exposed by Snapshot: the
+// stage time of every job divided by the strokes detected, in
+// milliseconds.
 type StageMillis struct {
 	STFT         float64 `json:"stft"`
 	Enhancement  float64 `json:"enhancement"`
@@ -552,21 +550,22 @@ func (m *shard) shardView() ShardStats {
 	}
 }
 
-// stageMillis converts an aggregated stage breakdown into the per-stroke
-// millisecond view /statsz exposes (zero value when no strokes yet).
-func stageMillis(b ewruntime.StageBreakdown) StageMillis {
-	per, err := b.PerStroke()
-	if err != nil {
+// stageMillis divides summed stage time by the detections it produced
+// (zero value before the first detection).
+func stageMillis(t pipeline.StageTimings, detections uint64) StageMillis {
+	if detections == 0 {
 		return StageMillis{}
 	}
-	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
+	per := func(d time.Duration) float64 {
+		return float64(d) / float64(time.Millisecond) / float64(detections)
+	}
 	return StageMillis{
-		STFT:         ms(per.STFT),
-		Enhancement:  ms(per.Enhancement),
-		Profile:      ms(per.Profile),
-		Segmentation: ms(per.Segmentation),
-		DTW:          ms(per.DTW),
-		Total:        ms(per.Total()),
-		Strokes:      b.Strokes,
+		STFT:         per(t.STFT),
+		Enhancement:  per(t.Enhancement),
+		Profile:      per(t.Profile),
+		Segmentation: per(t.Segmentation),
+		DTW:          per(t.DTW),
+		Total:        per(t.Total()),
+		Strokes:      int(detections),
 	}
 }

@@ -5,7 +5,7 @@ import (
 	"time"
 
 	"repro/internal/metrics/expose"
-	ewruntime "repro/internal/runtime"
+	"repro/internal/pipeline"
 )
 
 // metricsSource is what NewServer needs to build /metricsz: the
@@ -16,16 +16,16 @@ type metricsSource interface {
 }
 
 // stageNames orders the per-stage counter series; the accessor pulls
-// the matching duration out of a StageBreakdown.
+// the matching duration out of the summed stage time.
 var stageNames = [...]struct {
 	name string
-	get  func(b *ewruntime.StageBreakdown) time.Duration
+	get  func(t *pipeline.StageTimings) time.Duration
 }{
-	{"stft", func(b *ewruntime.StageBreakdown) time.Duration { return b.STFT }},
-	{"enhancement", func(b *ewruntime.StageBreakdown) time.Duration { return b.Enhancement }},
-	{"profile", func(b *ewruntime.StageBreakdown) time.Duration { return b.Profile }},
-	{"segmentation", func(b *ewruntime.StageBreakdown) time.Duration { return b.Segmentation }},
-	{"dtw", func(b *ewruntime.StageBreakdown) time.Duration { return b.DTW }},
+	{"stft", func(t *pipeline.StageTimings) time.Duration { return t.STFT }},
+	{"enhancement", func(t *pipeline.StageTimings) time.Duration { return t.Enhancement }},
+	{"profile", func(t *pipeline.StageTimings) time.Duration { return t.Profile }},
+	{"segmentation", func(t *pipeline.StageTimings) time.Duration { return t.Segmentation }},
+	{"dtw", func(t *pipeline.StageTimings) time.Duration { return t.DTW }},
 }
 
 // newServiceRegistry builds the /metricsz registry over a service's
@@ -100,18 +100,13 @@ func newServiceRegistry(ss shardSet) *expose.Registry {
 		stageLabels[i] = []expose.Label{{Name: "stage", Value: stageNames[i].name}}
 	}
 	r.MustRegister(expose.Desc{Name: "echowrite_stage_seconds_total",
-		Help: "Cumulative pipeline time per stage; divide by echowrite_strokes_total for the per-stroke breakdown /statsz reports.",
+		Help: "Cumulative pipeline time per stage over every feed and flush; divide by the summed echowrite_detections_total for the per-stroke breakdown /statsz reports.",
 		Kind: expose.KindCounter},
 		func(emit func(expose.Point)) {
-			b := ss.stages()
+			t := ss.stages()
 			for i := range stageNames {
-				emit(expose.Point{Labels: stageLabels[i], Value: stageNames[i].get(&b).Seconds()})
+				emit(expose.Point{Labels: stageLabels[i], Value: stageNames[i].get(&t).Seconds()})
 			}
-		})
-	r.MustRegister(expose.Desc{Name: "echowrite_strokes_total",
-		Help: "Strokes covered by the stage totals.", Kind: expose.KindCounter},
-		func(emit func(expose.Point)) {
-			emit(expose.Point{Value: float64(ss.stages().Strokes)})
 		})
 
 	r.MustRegister(expose.Desc{Name: "echowrite_feed_latency_milliseconds",

@@ -180,8 +180,9 @@ func TestMetricszSmoke(t *testing.T) {
 	if got := single("echowrite_engine_pool_reused_total"); got != float64(st.Pool.Reused) {
 		t.Errorf("pool reused = %g, /statsz says %d", got, st.Pool.Reused)
 	}
-	if got := single("echowrite_strokes_total"); got != float64(st.PerStroke.Strokes) {
-		t.Errorf("strokes_total = %g, /statsz says %d", got, st.PerStroke.Strokes)
+	// /statsz per-stroke means divide the stage totals by every detection.
+	if got := sumShards("echowrite_detections_total"); float64(st.PerStroke.Strokes) != got {
+		t.Errorf("per_stroke_ms.strokes = %d, summed detections_total = %g", st.PerStroke.Strokes, got)
 	}
 
 	// The per-stage counters must cover the same stages /statsz reports.
@@ -248,6 +249,55 @@ func TestMetricszSmoke(t *testing.T) {
 	if served.FeedLatencyMs != want || want.P50 <= 0 {
 		t.Errorf("/statsz feed_latency_ms = %+v, recomputed from /metricsz buckets = %+v",
 			served.FeedLatencyMs, want)
+	}
+}
+
+// TestMetricszQuietSessionStageTime pins that stage time is every
+// feed's time: a session that detects nothing and is then closed must
+// still leave its STFT and enhancement cost on /metricsz.
+func TestMetricszQuietSessionStageTime(t *testing.T) {
+	leak.Check(t)
+	sm, err := NewShardedManager(Config{MaxSessions: 2, Workers: 1, Prewarm: 1}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sm.Shutdown()
+	ts := httptest.NewServer(NewServer(sm).Handler())
+	defer ts.Close()
+
+	id, err := sm.Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	feedAll(t, sm, id, make([]float64, 2*44100)) // 2 s of silence
+	if err := sm.Close(id); err != nil {
+		t.Fatal(err)
+	}
+	if st := sm.Snapshot(); st.Detections != 0 || st.Chunks == 0 {
+		t.Fatalf("chunks=%d detections=%d, want a quiet session that fed audio", st.Chunks, st.Detections)
+	}
+
+	_, _, body := scrape(t, ts.URL, "/metricsz")
+	fams, err := expose.Parse(strings.NewReader(body))
+	if err != nil {
+		t.Fatalf("strict parse: %v", err)
+	}
+	var stages *expose.Family
+	for i := range fams {
+		if fams[i].Name == "echowrite_stage_seconds_total" {
+			stages = &fams[i]
+		}
+	}
+	if stages == nil {
+		t.Fatal("echowrite_stage_seconds_total missing")
+	}
+	for _, stage := range []string{"stft", "enhancement"} {
+		s := stages.Sample("echowrite_stage_seconds_total", expose.Label{Name: "stage", Value: stage})
+		if s == nil {
+			t.Errorf("stage %s missing", stage)
+		} else if s.Value <= 0 {
+			t.Errorf("stage %s seconds = %g after a quiet session, want > 0", stage, s.Value)
+		}
 	}
 }
 

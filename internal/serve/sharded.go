@@ -11,7 +11,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/metrics/expose"
 	"repro/internal/pipeline"
-	ewruntime "repro/internal/runtime"
 )
 
 // ShardedManager is the session service: it hash-partitions sessions by
@@ -173,7 +172,7 @@ func (sm *ShardedManager) MaxChunk() int {
 func (sm *ShardedManager) serviceShards() shardSet { return sm.shards }
 
 // Snapshot aggregates every shard into one Stats view: counters and
-// occupancy sum, stage breakdowns merge before the per-stroke division,
+// occupancy sum, stage time sums before the per-stroke division,
 // the feed-latency quantiles are estimated from the merged per-shard
 // histograms, and Shards carries the per-shard detail.
 func (sm *ShardedManager) Snapshot() Stats {
@@ -181,7 +180,6 @@ func (sm *ShardedManager) Snapshot() Stats {
 	agg := Stats{
 		Pool:          ss.pool(),
 		FeedLatencyMs: ss.feedLatency(),
-		PerStroke:     stageMillis(ss.stages()),
 		Shards:        ss.views(),
 	}
 	agg.MaxSessions, agg.Workers = ss.limits()
@@ -195,6 +193,7 @@ func (sm *ShardedManager) Snapshot() Stats {
 		agg.FeedErrors += sv.FeedErrors
 		agg.Evictions += sv.Evictions
 	}
+	agg.PerStroke = stageMillis(ss.stages(), agg.Detections)
 	return agg
 }
 
@@ -229,13 +228,13 @@ func (ss shardSet) feedLatency() metrics.LatencySummary {
 	return metrics.LatencySummary{P50: v.Quantile(0.50), P95: v.Quantile(0.95), P99: v.Quantile(0.99)}
 }
 
-// stages merges the cumulative stage time of every shard.
-func (ss shardSet) stages() ewruntime.StageBreakdown {
-	var b ewruntime.StageBreakdown
+// stages sums the cumulative stage time of every shard.
+func (ss shardSet) stages() pipeline.StageTimings {
+	var t pipeline.StageTimings
 	for _, m := range ss {
-		b.Merge(m.stages.Snapshot())
+		m.stages.addTo(&t)
 	}
-	return b
+	return t
 }
 
 // limits sums the per-shard bounds, which is what admission control
